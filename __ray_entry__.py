@@ -2,9 +2,8 @@
 
 ``entry()`` runs the flagship pixel pipeline (tiles → decode → cells →
 PIP → kNN → zonal biomass per county) at sf0.001 scale.  ``queries()``
-exposes every implemented operator from SURVEY.md §2 (plus the
-training-data-scale extensions); ``oracle_sql()`` gives the DuckDB twin
-for each SQL-expressible one.  Ray is initialised by the driver before
+exposes the tile engine's registry; ``oracle_sql()`` gives the DuckDB
+twin of each entry at sf0.01.  Ray is initialised by the driver before
 this module is imported — nothing here calls ``ray.init``.
 """
 

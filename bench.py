@@ -9,22 +9,19 @@ driver's bounded tail capture; the complete record is printed on an
 earlier line and written to the file.  Fixture generation (cached under
 /tmp) is excluded from timings.
 
-``--scaling``: runs the headline pipeline twice in fresh processes at
-num_cpus=8 and num_cpus=32 on the same input and reports throughput at
-both plus scaling efficiency = (t_8 / t_32) / (32 / 8) — the sandbox
-evidence for the north rule's N-vs-4N-nodes criterion (BASELINE.md).
+``RAY_GRAFT_CPUS`` sets the session's ``num_cpus`` (default: the cores
+this process may run on).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 BENCH_QUERIES = [
     "zonal_biomass",
@@ -33,127 +30,33 @@ BENCH_QUERIES = [
     "knn_idw",
     "knn_idw_sharded",
     "county_fmt_hist",
-    "q1_pricing",
-    "revenue_by_priority",
-    "orders_customer_join",
-    "filter_project",
-    "hourly_event_stats",
-    "sliding_event_stats",
-    "user_sessions",
-    "asof_order_events",
-    "order_events_range_join",
     "pip_assign_jittered",
-    "exact_dedup",
-    "minhash_pairs",
-    "ann_topk",
     "phash_neardup",
     "county_clip_stats",
     "image_thumbs",
-    "events_ranked",
-    "heavy_hitter_keys",
     "county_quantiles",
-    "neardup_clusters",
-    "approx_distinct_users",
-    "kmeans_embeddings",
     "hex_ring_smooth",
-    "bloom_semi_join",
-    "stratified_sample",
-    "tfidf_top_terms",
-    "knn_pagerank",
-    "event_percent_rank",
     "county_fmt_rollup",
-    "revenue_by_nation",
-    "monthly_order_stats",
-    "orders_checksum",
-    "ann_pq_topk",
-    "user_value_ema",
-    "orders_table_diff",
-    "monthly_stats_incremental",
     "county_gradient",
     "curation_sweep",
-    "embedding_neardup_lsh",
-    "events_ttl_throttle",
-    "shard_packing",
-    "stratified_quota_sample",
     "cell_pyramid",
-    "quality_topfrac",
-    "quality_topfrac_by_source",
-    "ann_ivfpq_indexed",
     "county_top3_tiles",
-    "type_distinct_users",
-    "user_funnel",
-    "term_cooccurrence",
-    "label_centroids",
     "psnr_verify_pairs",
     "cell_compact",
-    "event_max_concurrency",
     "county_corr",
-    "bm25_topk",
     "county_fmt_cube",
-    "knn_triangles",
-    "event_transitions",
-    "orders_skyline",
-    "id_edit1_pairs",
-    "bm25_indexed",
-    "part_kcore",
-    "orders_upsert",
-    "ann_filtered_topk",
-    "value_quantile_sketch",
-    "weighted_sample",
-    "spearman_qty_disc",
-    "events_ntile",
     "county_regression",
-    "score_auc_by_source",
-    "part_cosine_pairs",
-    "embedding_pca",
     "tile_dbscan",
     "county_gini",
     "county_hull",
     "county_mad",
-    "event_outliers",
-    "orders_profile",
-    "user_gapfill",
     "county_coverage",
-    "minhash_dedup_incr",
-    "minhash_dedup_lifecycle",
-    "ann_ivf_lifecycle",
-    "leakage_safe_split",
-    "audio_features",
-    "video_frame_stats",
-    "benchmark_decontam",
-    "doc_repetition",
-    "dup_gram_frac",
-    "source_gram_overlap",
-    "unigram_lm_nll",
-    "dsir_weights",
-    "dsir_select",
-    "lexical_diversity",
-    "semdedup",
-    "prototype_select",
-    "curation_funnel",
-    "source_temperature_mix",
     "county_mosaic",
-    "fps_diversity",
     "county_winsorized",
     "county_overlap_depth",
-    "ann_pq_rerank",
-    "ivf_recall_eval",
-    "events_token_bucket",
-    "user_retention_cohorts",
-    "doc_signal_sweep",
     "county_mosaic_mean",
     "county_mosaic_sweep",
-    "q3_shipping_priority",
 ]
-
-# Entries whose first call pays a one-time marker-cached index build;
-# bench times a second pass as `<name>_query` and reports
-# `<name>_build` = first - second.
-LIFECYCLE_QUERIES = {
-    "minhash_dedup_incr",
-    "minhash_dedup_lifecycle",
-    "ann_ivf_lifecycle",
-}
 
 # Names whose timings ride in the compact FINAL stdout line (the driver
 # captures only a bounded tail of stdout, so the final line must stay
@@ -167,19 +70,7 @@ HEADLINE_QUERY_SUBSET = [
     "county_clip_stats",
     "curation_sweep",
     "phash_neardup",
-    "neardup_clusters",
-    "kmeans_embeddings",
-    "event_percent_rank",
     "hex_ring_smooth",
-    "revenue_by_nation",
-    "bloom_semi_join",
-    "tfidf_top_terms",
-    "ann_pq_topk",
-    "minhash_dedup_lifecycle_build",
-    "minhash_dedup_lifecycle_query",
-    "minhash_dedup_incr_query",
-    "ann_ivf_lifecycle_query",
-    "leakage_safe_split",
 ]
 
 
@@ -272,126 +163,8 @@ def bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
             # entries pay spill churn (measured 2-4x inflation on the
             # tail of the list vs the same queries run solo).
             gc.collect()
-            if name in LIFECYCLE_QUERIES:
-                # Lifecycle entries pay a one-time index build (marker-
-                # cached) inside the first call; a second timed pass is
-                # the steady-state query so the record separates
-                # maintenance cost from query latency (VERDICT r4 #7).
-                t0 = time.time()
-                _consume(fn(sf_dir))
-                warm = round(time.time() - t0, 3)
-                out["queries"][name + "_query"] = warm
-                out["queries"][name + "_build"] = round(
-                    max(0.0, out["queries"][name] - warm), 3
-                )
-                gc.collect()
     ray.shutdown()
     return out
-
-
-_CALIB = '''
-import ray, time, os, numpy as np
-nc = int(os.environ["NC"])
-ray.init(address="local", num_cpus=nc, include_dashboard=False, logging_level="ERROR")
-@ray.remote
-def spin(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.random((600, 600))
-    x = 0.0
-    for _ in range(60):
-        x += float(np.sum(a @ a) * 1e-9)
-        h = np.add.reduceat(a, np.arange(0, 600, 8), axis=0)
-        x += float(h.mean())
-    return x
-t0 = time.time()
-ray.get([spin.remote(i) for i in range(96)])
-print("CALIB", round(time.time() - t0, 2))
-ray.shutdown()
-'''
-
-
-def machine_ceiling(cpus=(8, 32), rounds=2) -> dict:
-    """Parallel-scaling ceiling of THIS host: fixed total work of
-    embarrassingly parallel pure-numpy Ray tasks at both levels.
-
-    On this sandbox the ceiling is ~0.6 (all-core turbo clocks + shared
-    DRAM), so no workload — however perfectly parallel — can reach 0.8
-    core-scaling here.  The north rule's criterion is N→4N NODES, where
-    each node brings its own sockets and memory; core-scaling on one
-    socket is a pessimistic proxy, and the engine's efficiency should be
-    read relative to this ceiling."""
-    best: dict[int, float] = {}
-    for _ in range(rounds):
-        for c in cpus:
-            proc = subprocess.run(
-                [sys.executable, "-c", _CALIB],
-                env=dict(os.environ, NC=str(c)),
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            sec = float(
-                [l for l in proc.stdout.splitlines() if l.startswith("CALIB")][-1]
-                .split()[1]
-            )
-            best[c] = min(best.get(c, float("inf")), sec)
-    lo, hi = cpus
-    return {
-        "sec": {str(c): best[c] for c in cpus},
-        "efficiency": round((best[lo] / best[hi]) / (hi / lo), 3),
-    }
-
-
-def scaling(sf_dir: str, cpus=(8, 32), rounds=2) -> dict:
-    """Interleaved fresh-session runs: (8, 32, 8, 32, …), min per level.
-
-    Interleaving matters on this host: noisy-neighbor contention is
-    bursty on a minutes timescale, so running all of one level then all
-    of the other lets noise land on a single level and corrupt the
-    ratio.  Min-of-rounds per level estimates each level's true
-    capability."""
-    best: dict[int, dict] = {}
-    for _ in range(rounds):
-        for c in cpus:
-            env = dict(
-                os.environ,
-                RAY_GRAFT_CPUS=str(c),
-                GRAFT_SF_DIR=sf_dir,
-                GRAFT_TRIALS="1",
-            )
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--headline-only"],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            line = [l for l in proc.stdout.splitlines() if l.startswith("{")][-1]
-            res = json.loads(line)
-            if c not in best or res["value"] < best[c]["value"]:
-                best[c] = res
-    lo, hi = cpus
-    eff = (best[lo]["value"] / best[hi]["value"]) / (hi / lo)
-    ceiling = machine_ceiling(cpus, rounds=rounds)
-    return {
-        "metric": "scaling efficiency (interleaved fresh sessions, same input)",
-        "value": round(eff, 3),
-        "unit": "efficiency",
-        "sf": best[hi]["sf"],
-        "num_cpus": hi,
-        "runs": {
-            str(c): {
-                "sec": best[c]["value"],
-                "tiles_per_sec": best[c]["tiles_per_sec"],
-            }
-            for c in cpus
-        },
-        # this host's own core-scaling ceiling (perfectly parallel numpy
-        # tasks, fixed total work) and the engine's efficiency relative
-        # to it — see BASELINE.md "Scaling" notes
-        "machine_ceiling": ceiling,
-        "relative_efficiency": round(eff / ceiling["efficiency"], 3),
-    }
 
 
 def _emit(out: dict) -> None:
@@ -421,7 +194,4 @@ def _emit(out: dict) -> None:
 
 
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        print(json.dumps(scaling(SF_DIR)))
-    else:
-        _emit(bench(SF_DIR, NUM_CPUS, "--headline-only" in sys.argv))
+    _emit(bench(SF_DIR, NUM_CPUS, "--headline-only" in sys.argv))

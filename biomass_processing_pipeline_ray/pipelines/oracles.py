@@ -399,238 +399,6 @@ def sql_image_thumbs(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# audio feature oracle: the REAL WAV path.  Decodes the same stdlib-wave
-# payloads with the `array` module (no numpy) and computes the features
-# with Python ints + math.sqrt — independent of the engine's
-# np.frombuffer/int64 path, bit-identical because both sides define the
-# features on the exact int16 sample domain (integer sums, one float
-# division + sqrt at the end).
-# ---------------------------------------------------------------------------
-
-
-def audio_oracle_path(n: int) -> str:
-    return os.path.join(ORACLE_DIR, f"audio_n{n}_v1.parquet")
-
-
-def _audio_oracle_chunk(ids: np.ndarray) -> pa.Table:
-    import array as _array
-    import io
-    import math
-    import wave as _wave
-
-    from ..functions.rounding import round_away
-    from ..sources.audio import synth_wav
-
-    rows: list[tuple] = []
-    for i in np.asarray(ids, dtype=np.int64):
-        with _wave.open(io.BytesIO(synth_wav(int(i))), "rb") as w:
-            nch = w.getnchannels()
-            sr = w.getframerate()
-            nf = w.getnframes()
-            raw = w.readframes(nf)
-        samples = _array.array("h")
-        samples.frombytes(raw)  # little-endian int16 (WAV is LE)
-        ss = 0
-        pk = 0
-        for s in samples:
-            ss += s * s
-            if abs(s) > pk:
-                pk = abs(s)
-        zc = 0
-        prev_neg = samples[0] < 0
-        for k in range(nch, len(samples), nch):  # channel 0 only
-            neg = samples[k] < 0
-            if neg != prev_neg:
-                zc += 1
-            prev_neg = neg
-        rows.append(
-            (
-                int(i),
-                sr,
-                nch,
-                nf / sr,
-                math.sqrt(ss / (nf * nch)) / 32768.0,
-                zc / (nf - 1) if nf > 1 else 0.0,
-                pk / 32768.0,
-            )
-        )
-    return pa.table(
-        {
-            "aud_id": pa.array([r[0] for r in rows], pa.int64()),
-            "sample_rate": pa.array([r[1] for r in rows], pa.int32()),
-            "n_channels": pa.array([r[2] for r in rows], pa.int32()),
-            "duration_s": pa.array(round_away(np.asarray([r[3] for r in rows]), 6)),
-            "rms": pa.array(round_away(np.asarray([r[4] for r in rows]), 6)),
-            "zero_crossing_rate": pa.array(
-                round_away(np.asarray([r[5] for r in rows]), 6)
-            ),
-            "peak": pa.array(round_away(np.asarray([r[6] for r in rows]), 6)),
-        }
-    )
-
-
-def ensure_audio_oracle(n: int, chunk: int = 1024) -> str:
-    path = audio_oracle_path(n)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    all_ids = np.arange(n, dtype=np.int64)
-    chunks = [all_ids[lo : lo + chunk] for lo in range(0, n, chunk)]
-    try:
-        import ray
-
-        ray_up = ray.is_initialized()
-    except Exception:  # pragma: no cover
-        ray_up = False
-    if ray_up and len(chunks) > 1:
-        import ray
-
-        fn = ray.remote(_audio_oracle_chunk)
-        tables = ray.get([fn.remote(c) for c in chunks])
-    else:
-        tables = [_audio_oracle_chunk(c) for c in chunks]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(pa.concat_tables(tables), tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_audio_features(n: int) -> str:
-    return (
-        "SELECT aud_id, sample_rate, n_channels, duration_s, rms, "
-        "zero_crossing_rate, peak "
-        f"FROM read_parquet('{audio_oracle_path(n)}')"
-    )
-
-
-# ---------------------------------------------------------------------------
-# video frame oracle: the REAL y4m path.  Parses the same YUV4MPEG2
-# payloads with pure-Python bytes slicing (no numpy decode) and
-# recomputes per-sampled-frame brightness + dHash with Python ints —
-# independent of the engine's np.frombuffer / dhash_stack path,
-# bit-identical because both sides define the features on the exact
-# uint8 luma domain: block sums are exact integers (< 2^53, so any
-# summation order yields the same float64), brightness/grid means are
-# ONE IEEE division of exact values, and the dHash bits compare those
-# identically-rounded quotients.
-# ---------------------------------------------------------------------------
-
-
-def video_oracle_path(n: int) -> str:
-    return os.path.join(ORACLE_DIR, f"video_n{n}_st4_v1.parquet")
-
-
-def _py_dhash_gray_int(y_rows: list[list[int]], h: int, w: int) -> int:
-    """Pure-Python dHash of an integer luma grid — mirrors
-    image/phash.dhash_stack bit-for-bit (8x9 area-mean grid via exact
-    int block sums, float division, left-to-right gradient bits)."""
-    H, W = 8, 9
-    row_edges = [(r * h) // H for r in range(H + 1)]
-    col_edges = [(c * w) // W for c in range(W + 1)]
-    g = [[0.0] * W for _ in range(H)]
-    for br in range(H):
-        for bc in range(W):
-            s = 0
-            for y in range(row_edges[br], row_edges[br + 1]):
-                row = y_rows[y]
-                for x in range(col_edges[bc], col_edges[bc + 1]):
-                    s += row[x]
-            cnt = (row_edges[br + 1] - row_edges[br]) * (
-                col_edges[bc + 1] - col_edges[bc]
-            )
-            g[br][bc] = s / cnt
-    val = 0
-    for br in range(H):
-        for bc in range(W - 1):
-            val = (val << 1) | (1 if g[br][bc + 1] > g[br][bc] else 0)
-    return val - (1 << 64) if val >= (1 << 63) else val
-
-
-def _video_oracle_chunk(ids: np.ndarray, stride: int = 4) -> pa.Table:
-    from ..functions.rounding import round_away
-    from ..sources.video import synth_y4m
-
-    out_ids: list[int] = []
-    out_fi: list[int] = []
-    out_ph: list[int] = []
-    out_br: list[float] = []
-    for i in np.asarray(ids, dtype=np.int64):
-        buf = synth_y4m(int(i))
-        nl = buf.index(b"\n")
-        toks = buf[:nl].split(b" ")
-        assert toks[0] == b"YUV4MPEG2"
-        w = h = 0
-        cs = "C420"
-        for t in toks[1:]:
-            if t[:1] == b"W":
-                w = int(t[1:])
-            elif t[:1] == b"H":
-                h = int(t[1:])
-            elif t[:1] == b"C":
-                cs = t.decode()
-        ysz = w * h
-        csz = 2 * ysz if cs.startswith("C444") else ysz // 2
-        pos = nl + 1
-        fi = 0
-        while pos < len(buf):
-            fnl = buf.index(b"\n", pos)
-            assert buf[pos : pos + 5] == b"FRAME"
-            pos = fnl + 1
-            if fi % stride == 0:
-                plane = buf[pos : pos + ysz]
-                y_rows = [
-                    list(plane[r * w : (r + 1) * w]) for r in range(h)
-                ]
-                out_ids.append(int(i))
-                out_fi.append(fi)
-                out_ph.append(_py_dhash_gray_int(y_rows, h, w))
-                out_br.append(sum(plane) / float(ysz))
-            pos += ysz + csz
-            fi += 1
-    return pa.table(
-        {
-            "video_id": pa.array(out_ids, pa.int64()),
-            "frame_idx": pa.array(out_fi, pa.int64()),
-            "frame_phash": pa.array(out_ph, pa.int64()),
-            "brightness": pa.array(round_away(np.asarray(out_br), 6)),
-        }
-    )
-
-
-def ensure_video_oracle(n: int, chunk: int = 256) -> str:
-    path = video_oracle_path(n)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    all_ids = np.arange(n, dtype=np.int64)
-    chunks = [all_ids[lo : lo + chunk] for lo in range(0, n, chunk)]
-    try:
-        import ray
-
-        ray_up = ray.is_initialized()
-    except Exception:  # pragma: no cover
-        ray_up = False
-    if ray_up and len(chunks) > 1:
-        import ray
-
-        fn = ray.remote(_video_oracle_chunk)
-        tables = ray.get([fn.remote(c) for c in chunks])
-    else:
-        tables = [_video_oracle_chunk(c) for c in chunks]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(pa.concat_tables(tables), tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_video_frame_stats(n: int) -> str:
-    return (
-        "SELECT video_id, frame_idx, frame_phash, brightness "
-        f"FROM read_parquet('{video_oracle_path(n)}')"
-    )
-
-
-# ---------------------------------------------------------------------------
 # polygon-overlap oracle: area(jittered quad ∩ base rect county) by an
 # INDEPENDENT construction — candidate vertex set (quad vertices in the
 # box, box corners in the quad, all edge×edge crossings) ordered by
@@ -1053,13 +821,6 @@ ORACLE_SF_DIR = "/root/testdata/sf0.01"
 _U64 = 1 << 64
 
 
-def _read_docs(sf_dir: str) -> list[tuple[int, str]]:
-    t = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return list(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-
-
 def _py_shingles(text: str, k: int = 3) -> list[int]:
     import zlib
 
@@ -1089,378 +850,6 @@ def _py_jaccard(sa: list[int], sb: list[int]) -> float:
         return 1.0
     inter = len(set(sa) & set(sb))
     return inter / (len(sa) + len(sb) - inter)
-
-
-def minhash_oracle_path() -> str:
-    return os.path.join(ORACLE_DIR, "minhash_sf001_v1.parquet")
-
-
-def ensure_minhash_oracle(threshold: float = 0.7) -> str:
-    """Brute-force MinHash-LSH reference: per-band dict buckets over the
-    signature chunks → candidate pairs → exact Jaccard filter."""
-    from collections import defaultdict
-
-    from ..stages.dedup import BANDS, ROWS_PER_BAND
-
-    path = minhash_oracle_path()
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    docs = _read_docs(ORACLE_SF_DIR)
-    shingles = {d: _py_shingles(t) for d, t in docs}
-    sigs = {d: _py_minhash_sig(s) for d, s in shingles.items()}
-    cand: set[tuple[int, int]] = set()
-    for b in range(BANDS):
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for d, sig in sigs.items():
-            buckets[tuple(sig[b * ROWS_PER_BAND : (b + 1) * ROWS_PER_BAND])].append(d)
-        for members in buckets.values():
-            members.sort()
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    cand.add((members[i], members[j]))
-    rows = []
-    for a, b in sorted(cand):
-        j = _py_jaccard(shingles[a], shingles[b])
-        if j >= threshold:
-            rows.append((a, b, j))
-    tbl = pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-            "jaccard": pa.array([r[2] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_minhash_pairs() -> str:
-    return f"SELECT a, b, jaccard FROM read_parquet('{minhash_oracle_path()}')"
-
-
-def minhash_incr_oracle_path(threshold: float = 0.7, mod: int = 5) -> str:
-    # mod/threshold are part of the filename so calling the ensure with
-    # different params can never silently reuse a stale cached oracle
-    t = str(threshold).replace(".", "p")
-    return os.path.join(ORACLE_DIR, f"minhash_incr_sf001_m{mod}_t{t}_v1.parquet")
-
-
-def ensure_minhash_incr_oracle(threshold: float = 0.7, mod: int = 5) -> str:
-    """Incremental-dedup reference: the same brute-force per-band
-    buckets as :func:`ensure_minhash_oracle`, restricted to DELTA ×
-    CORPUS pairs (delta = doc_id % mod == 0, corpus = the rest) and
-    oriented (a = delta id, b = corpus id) — mirrors
-    ``stages/dedup.dedup_against_index`` over the materialized band
-    store."""
-    from collections import defaultdict
-
-    from ..stages.dedup import BANDS, ROWS_PER_BAND
-
-    path = minhash_incr_oracle_path(threshold, mod)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    docs = _read_docs(ORACLE_SF_DIR)
-    shingles = {d: _py_shingles(t) for d, t in docs}
-    sigs = {d: _py_minhash_sig(s) for d, s in shingles.items()}
-    cand: set[tuple[int, int]] = set()
-    for b in range(BANDS):
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for d, sig in sigs.items():
-            buckets[tuple(sig[b * ROWS_PER_BAND : (b + 1) * ROWS_PER_BAND])].append(d)
-        for members in buckets.values():
-            for d in members:
-                if d % mod != 0:
-                    continue
-                for c in members:
-                    if c % mod != 0 and c != d:
-                        cand.add((d, c))
-    rows = []
-    for a, b in sorted(cand):
-        j = _py_jaccard(shingles[a], shingles[b])
-        if j >= threshold:
-            rows.append((a, b, j))
-    tbl = pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-            "jaccard": pa.array([r[2] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_minhash_incr(threshold: float = 0.7, mod: int = 5) -> str:
-    return (
-        "SELECT a, b, jaccard FROM read_parquet("
-        f"'{minhash_incr_oracle_path(threshold, mod)}')"
-    )
-
-
-def _py_char_shingles(text: str, k: int = 8) -> list[int]:
-    import zlib
-
-    if len(text) < k:
-        grams = [text] if text else []
-    else:
-        grams = [text[i : i + k] for i in range(len(text) - k + 1)]
-    return sorted({zlib.crc32(g.encode("utf-8")) for g in grams})
-
-
-def ngram_oracle_path() -> str:
-    return os.path.join(ORACLE_DIR, "ngram_jaccard_sf001_v1.parquet")
-
-
-def ensure_ngram_oracle(threshold: float = 0.5) -> str:
-    """Character-n-gram-Jaccard reference: same brute-force LSH + exact
-    Jaccard walk as the MinHash oracle, over char 8-gram shingles."""
-    from collections import defaultdict
-
-    from ..stages.dedup import BANDS, ROWS_PER_BAND
-
-    path = ngram_oracle_path()
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    docs = _read_docs(ORACLE_SF_DIR)
-    shingles = {d: _py_char_shingles(t) for d, t in docs}
-    sigs = {d: _py_minhash_sig(s) for d, s in shingles.items()}
-    cand: set[tuple[int, int]] = set()
-    for b in range(BANDS):
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for d, sig in sigs.items():
-            buckets[tuple(sig[b * ROWS_PER_BAND : (b + 1) * ROWS_PER_BAND])].append(d)
-        for members in buckets.values():
-            members.sort()
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    cand.add((members[i], members[j]))
-    rows = []
-    for a, b in sorted(cand):
-        j = _py_jaccard(shingles[a], shingles[b])
-        if j >= threshold:
-            rows.append((a, b, j))
-    tbl = pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-            "jaccard": pa.array([r[2] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_ngram_jaccard_pairs() -> str:
-    return f"SELECT a, b, jaccard FROM read_parquet('{ngram_oracle_path()}')"
-
-
-def simhash_oracle_path() -> str:
-    return os.path.join(ORACLE_DIR, "simhash_sf001_v1.parquet")
-
-
-def ensure_simhash_oracle(max_hamming: int = 3) -> str:
-    """Brute-force SimHash reference: Python-int sign-sum hash, 4×16-bit
-    band dict buckets, popcount filter."""
-    import zlib
-    from collections import defaultdict
-
-    path = simhash_oracle_path()
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    docs = _read_docs(ORACLE_SF_DIR)
-
-    def simhash(text: str) -> int:
-        words = text.split()
-        if not words:
-            return 0
-        acc = [0] * 64
-        for w in words:
-            h64 = (zlib.crc32(w.encode("utf-8")) * 0x9E3779B97F4A7C15) % _U64
-            for i in range(64):
-                acc[i] += 1 if (h64 >> i) & 1 else -1
-        out = 0
-        for i in range(64):
-            if acc[i] > 0:
-                out |= 1 << i
-        return out  # unsigned 64-bit value
-
-    sims = {d: simhash(t) for d, t in docs}
-    cand: set[tuple[int, int]] = set()
-    for b in range(4):
-        buckets: dict[int, list[int]] = defaultdict(list)
-        for d, s in sims.items():
-            buckets[(s >> (16 * b)) & 0xFFFF].append(d)
-        for members in buckets.values():
-            members.sort()
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    cand.add((members[i], members[j]))
-    rows = []
-    for a, b in sorted(cand):
-        hd = bin(sims[a] ^ sims[b]).count("1")
-        if hd <= max_hamming:
-            rows.append((a, b, hd))
-    tbl = pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-            "hamming": pa.array([r[2] for r in rows], pa.int64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_simhash_pairs() -> str:
-    return f"SELECT a, b, hamming FROM read_parquet('{simhash_oracle_path()}')"
-
-
-def fingerprint_oracle_path() -> str:
-    return os.path.join(ORACLE_DIR, "fingerprints_sf001_v1.parquet")
-
-
-def ensure_fingerprint_oracle(k: int = 8, w: int = 4) -> str:
-    """Python-int Karp–Rabin + winnowing reference (Schleimer et al.)."""
-    path = fingerprint_oracle_path()
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    from ..stages.textstages import _FP_B, _FP_P
-
-    p, base = int(_FP_P), int(_FP_B)
-    docs = _read_docs(ORACLE_SF_DIR)
-
-    def poly(bs: bytes) -> int:
-        n = len(bs)
-        if n == 0:
-            return 0
-        return sum(c * pow(base, n - 1 - i, p) % p for i, c in enumerate(bs)) % p
-
-    def kgram_hashes(bs: bytes) -> list[int]:
-        n = len(bs)
-        if n < k:
-            return []
-        return [poly(bs[i : i + k]) for i in range(n - k + 1)]
-
-    def n_winnow(bs: bytes) -> int:
-        h = kgram_hashes(bs)
-        if not h:
-            return 0
-        if len(h) <= w:
-            return 1
-        return len({min(h[i : i + w]) for i in range(len(h) - w + 1)})
-
-    rows = []
-    for d, t in docs:
-        bs = t.encode("utf-8")
-        fp = poly(bs)
-        # map the unsigned value into the engine's int64 column range
-        rows.append((d, fp - _U64 if fp >= 1 << 63 else fp, n_winnow(bs)))
-    tbl = pa.table(
-        {
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "fingerprint": pa.array([r[1] for r in rows], pa.int64()),
-            "n_winnow_fp": pa.array([r[2] for r in rows], pa.int64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_fingerprints() -> str:
-    return (
-        "SELECT doc_id, fingerprint, n_winnow_fp "
-        f"FROM read_parquet('{fingerprint_oracle_path()}')"
-    )
-
-
-def ivf_oracle_path() -> str:
-    # v2: hashed k-means training sample (round-3 fix of the id-prefix
-    # sample bias) — versioned filename so a stale cached oracle built
-    # with the old sample can never be reused silently
-    return os.path.join(ORACLE_DIR, "ivf_topk_sf001_v2.parquet")
-
-
-def ensure_ivf_oracle(nlist: int = 16, nprobe: int = 4, k: int = 10) -> str:
-    """Single-process reference of the IVF top-k: same coarse quantizer
-    parameters (kmeans seed/iters are algorithm constants), but the
-    assignment, probing and top-k run as one sequential numpy pass —
-    checking the engine's distributed assign→filter→partial-top-k
-    plumbing end to end.  (nprobe=nlist exactness vs brute force is
-    separately pytest-verified.)"""
-    path = ivf_oracle_path()
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    from ..functions import georef as G
-    from ..functions.rounding import round_away
-    from ..stages.ann import _normalize, kmeans_centroids
-
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    # hashed training sample, hash-ascending order — the engine's
-    # distributed hashed-top-k pull (_query_vectors) yields the same
-    # 512 rows in the same order
-    skey = G.derive_key(ids)
-    sample = emb[np.argsort(skey, kind="stable")[:512]]
-    qids = ids[:8]
-    qmat = _normalize(emb[:8].copy())
-    cents = kmeans_centroids(sample, nlist)
-    embn = _normalize(emb)
-    cell = np.argmax(embn @ cents.T, axis=1)
-    probed = np.unique(np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe].ravel())
-    keep = np.isin(cell, probed)
-    kids, kemb = ids[keep], embn[keep]
-    rows = []
-    for qi in range(len(qids)):
-        s = qmat[qi] @ kemb.T
-        mask = kids != qids[qi]
-        cand_ids, cand_s = kids[mask], s[mask]
-        sel = np.lexsort((cand_ids, -cand_s))[:k]
-        for rank, idx in enumerate(sel, 1):
-            rows.append(
-                (int(qids[qi]), int(cand_ids[idx]), rank,
-                 float(round_away(cand_s[idx], 6)))
-            )
-    tbl = pa.table(
-        {
-            "query_id": pa.array([r[0] for r in rows], pa.int64()),
-            "vec_id": pa.array([r[1] for r in rows], pa.int64()),
-            "rank": pa.array([r[2] for r in rows], pa.int64()),
-            "cos": pa.array([r[3] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_ivf_topk() -> str:
-    return (
-        'SELECT query_id, vec_id, "rank", cos '
-        f"FROM read_parquet('{ivf_oracle_path()}')"
-    )
 
 
 def sql_phash_neardup(n: int, max_hamming: int = 3) -> str:
@@ -1595,413 +984,6 @@ def sql_knn_idw_full(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# distributed k-means oracle: one sequential Lloyd pass over the whole
-# embeddings table with the IDENTICAL float contract as stages/kmeans.py
-# (normalize -> 2^-20 lattice snap so sums are order-exact; explicit
-# multiply+reduce dots, never BLAS matmul; argmax ties to lowest index)
-# — so the distributed fixed-round fit is checked bit-for-bit.
-# ---------------------------------------------------------------------------
-
-
-def kmeans_oracle_path(k: int = 8, n_iters: int = 4) -> str:
-    return os.path.join(ORACLE_DIR, f"kmeans_sf001_k{k}_i{n_iters}_v1.parquet")
-
-
-def _kmeans_fit_seq(k: int, n_iters: int):
-    """Sequential Lloyd fit over the sorted sf0.01 embeddings table with
-    the identical float contract as ``stages/kmeans.py`` → (ids, mat,
-    cents).  Shared by the k-means, SemDeDup and prototype oracles so
-    all three check against the SAME centroids."""
-    from ..functions import georef as G
-    from ..stages.kmeans import dots, prep_rows
-
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    ids, mat = prep_rows(ids, emb)
-
-    # same seed rule as stages/kmeans.init_centroids: k smallest hashes,
-    # hash-ascending
-    skey = G.derive_key(ids)
-    cents = mat[np.argsort(skey, kind="stable")[:k]].copy()
-
-    for _ in range(n_iters):
-        assign = np.argmax(dots(mat, cents), axis=1)
-        new = cents.copy()
-        for c in range(k):
-            members = mat[assign == c]
-            if len(members):
-                # same expression as the distributed M-step: exact
-                # lattice sum / count
-                new[c] = members.sum(axis=0) / np.float64(len(members))
-        _, cents = prep_rows(np.zeros(k), new)
-    return ids, mat, cents
-
-
-def ensure_kmeans_oracle(k: int = 8, n_iters: int = 4) -> str:
-    from ..functions.rounding import round_away
-    from ..stages.kmeans import dots
-
-    path = kmeans_oracle_path(k, n_iters)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-
-    ids, mat, cents = _kmeans_fit_seq(k, n_iters)
-
-    sims = dots(mat, cents)
-    best = np.argmax(sims, axis=1)
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(ids, pa.int64()),
-            "centroid": pa.array(best.astype(np.int64)),
-            "cos": pa.array(round_away(sims[np.arange(len(best)), best], 6)),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_kmeans_assign(k: int = 8, n_iters: int = 4) -> str:
-    return (
-        "SELECT vec_id, centroid, cos "
-        f"FROM read_parquet('{kmeans_oracle_path(k, n_iters)}')"
-    )
-
-
-def semdedup_oracle_path(
-    k: int = 8, n_iters: int = 4, tau: float = 0.3
-) -> str:
-    t = str(tau).replace(".", "p")
-    return os.path.join(
-        ORACLE_DIR, f"semdedup_sf001_k{k}_i{n_iters}_t{t}_v1.parquet"
-    )
-
-
-def ensure_semdedup_oracle(
-    k: int = 8, n_iters: int = 4, tau: float = 0.3, row_chunk: int = 1024
-) -> str:
-    """Sequential SemDeDup reference (Abbas et al. 2023): the shared
-    Lloyd fit (`_kmeans_fit_seq` — identical centroids as the k-means
-    gate), then per cluster the SAME blocked all-pairs kernel as the
-    engine (`stages/ann._exact_pairs_block`, identical row order +
-    chunking so the BLAS calls are bit-identical), union-find over
-    tau-pairs, and per duplicate group keep the member with the lowest
-    (centroid-cos, vec_id) — mirrors ``stages/ann.semdedup_flags``."""
-    from ..functions.rounding import round_away
-    from ..stages.ann import _exact_pairs_block
-    from ..stages.kmeans import dots
-
-    path = semdedup_oracle_path(k, n_iters, tau)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-
-    ids, mat, cents = _kmeans_fit_seq(k, n_iters)
-    sims = dots(mat, cents)
-    best = np.argmax(sims, axis=1)
-    cos = sims[np.arange(len(best)), best]
-
-    out = []
-    for c in range(k):
-        # ids are globally vec_id-sorted, so each cluster slice is too
-        idx = np.flatnonzero(best == c)
-        if not len(idx):
-            continue
-        sub_ids, sub_cos = ids[idx], cos[idx]
-        n = len(idx)
-        ii, jj = _exact_pairs_block(mat[idx], np.arange(n), tau, row_chunk)
-        parent = np.arange(n, dtype=np.int64)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        root = np.fromiter((find(i) for i in range(n)), np.int64, count=n)
-        order = np.argsort(sub_cos, kind="stable")
-        keep = np.zeros(n, dtype=np.int64)
-        seen: set = set()
-        for i in order.tolist():
-            r = int(root[i])
-            if r not in seen:
-                seen.add(r)
-                keep[i] = 1
-        out.append(
-            pa.table(
-                {
-                    "vec_id": pa.array(sub_ids, pa.int64()),
-                    "centroid": pa.array(np.full(n, c, np.int64)),
-                    "cos": pa.array(round_away(sub_cos, 6), pa.float64()),
-                    "grp": pa.array(sub_ids[root], pa.int64()),
-                    "keep": pa.array(keep, pa.int64()),
-                }
-            )
-        )
-
-    tbl = pa.concat_tables(out)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_semdedup(k: int = 8, n_iters: int = 4, tau: float = 0.3) -> str:
-    return (
-        "SELECT vec_id, centroid, cos, grp, keep "
-        f"FROM read_parquet('{semdedup_oracle_path(k, n_iters, tau)}')"
-    )
-
-
-def sql_prototype_select(
-    k: int = 8, n_iters: int = 4, frac_pct: int = 10
-) -> str:
-    """ROW_NUMBER twin of the SSL-prototype hard-example selection over
-    the k-means oracle parquet: the ``frac_pct`` % of vectors FARTHEST
-    from their assigned centroid (cos ASC, vec_id tie-break)."""
-    return f"""
-    WITH q AS (SELECT vec_id, cos
-               FROM read_parquet('{kmeans_oracle_path(k, n_iters)}')),
-    n AS (SELECT GREATEST(1, COUNT(*) * {frac_pct} // 100) AS keep FROM q),
-    r AS (SELECT vec_id, cos,
-                 ROW_NUMBER() OVER (ORDER BY cos ASC, vec_id) AS rn
-          FROM q)
-    SELECT vec_id, cos FROM r, n WHERE rn <= keep
-    """
-
-
-def pq_oracle_path(m: int = 8, ks: int = 16, k: int = 10) -> str:
-    # params in the filename (ADVICE r2): a parameter change can never
-    # silently reuse a stale cached oracle
-    return os.path.join(ORACLE_DIR, f"pq_topk_sf001_m{m}_ks{ks}_k{k}.parquet")
-
-
-def ensure_pq_oracle(m: int = 8, ks: int = 16, k: int = 10) -> str:
-    """Single-process reference of the PQ ADC top-k: shared quantizer
-    kernels (pq_train/pq_encode/pq_adc_* are algorithm constants, same
-    precedent as kmeans_centroids for IVF), but trained/encoded/scored
-    in ONE sequential numpy pass over the sorted table — checking the
-    engine's broadcast-train → per-batch encode/ADC → partial-top-k
-    plumbing end to end."""
-    path = pq_oracle_path(m, ks, k)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    from ..functions import georef as G
-    from ..functions.rounding import round_away
-    from ..stages.ann import (
-        _normalize,
-        pq_adc_scores,
-        pq_adc_tables,
-        pq_encode,
-        pq_train,
-    )
-
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    skey = G.derive_key(ids)
-    sample = emb[np.argsort(skey, kind="stable")[:512]]
-    qids = ids[:8]
-    qmat = _normalize(emb[:8].copy())
-    books = pq_train(sample, m=m, ks=ks)
-    codes = pq_encode(_normalize(emb), books)
-    scores = pq_adc_scores(pq_adc_tables(qmat, books), codes)
-    rows = []
-    for qi in range(len(qids)):
-        s = scores[qi]
-        mask = ids != qids[qi]
-        cand_ids, cand_s = ids[mask], s[mask]
-        sel = np.lexsort((cand_ids, -cand_s))[:k]
-        for rank, idx in enumerate(sel, 1):
-            rows.append(
-                (int(qids[qi]), int(cand_ids[idx]), rank,
-                 float(round_away(cand_s[idx], 6)))
-            )
-    tbl = pa.table(
-        {
-            "query_id": pa.array([r[0] for r in rows], pa.int64()),
-            "vec_id": pa.array([r[1] for r in rows], pa.int64()),
-            "rank": pa.array([r[2] for r in rows], pa.int64()),
-            "pq_score": pa.array([r[3] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_pq_topk() -> str:
-    return (
-        'SELECT query_id, vec_id, "rank", pq_score '
-        f"FROM read_parquet('{pq_oracle_path()}')"
-    )
-
-
-# ---------------------------------------------------------------------------
-# TTL-throttle oracle: sequential per-key scan with plain Python state —
-# the literal "keyed ValueState" reference implementation (one dict of
-# last-kept timestamps), vs the engine's bucketed searchsorted-jump walk
-# in stages/analytic.ttl_throttle.
-# ---------------------------------------------------------------------------
-
-
-def ttl_oracle_path(ttl_us: int) -> str:
-    return os.path.join(ORACLE_DIR, f"ttl_throttle_sf001_t{ttl_us}.parquet")
-
-
-def ensure_ttl_oracle(ttl_us: int) -> str:
-    path = ttl_oracle_path(ttl_us)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    ev = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
-    ts_us = ev["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_pylist()
-    rows = sorted(
-        zip(
-            ev["user_id"].to_pylist(),
-            ev["event_type"].to_pylist(),
-            ts_us,
-            ev["event_id"].to_pylist(),
-        )
-    )
-    last: dict[tuple[int, str], int] = {}
-    kept = []
-    for uid, typ, t, eid in rows:
-        key = (uid, typ)
-        prev = last.get(key)
-        if prev is None or t >= prev + ttl_us:
-            last[key] = t
-            kept.append((eid, uid, typ, t))
-    tbl = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in kept], pa.int64()),
-            "user_id": pa.array([r[1] for r in kept], pa.int64()),
-            "event_type": pa.array([r[2] for r in kept], pa.string()),
-            "ts_us": pa.array([r[3] for r in kept], pa.int64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_ttl_throttle(ttl_us: int) -> str:
-    return (
-        "SELECT event_id, user_id, event_type, ts_us "
-        f"FROM read_parquet('{ttl_oracle_path(ttl_us)}')"
-    )
-
-
-# ---------------------------------------------------------------------------
-# IVF-PQ oracle: sequential single-pass reference of the cell-partitioned
-# PQ-code store — same coarse quantizer + codebooks (algorithm constants,
-# the ensure_ivf_oracle / ensure_pq_oracle precedent), but assignment,
-# probing, ADC scoring and top-k run in ONE numpy pass, checking the
-# engine's encode→write-partitioned→probed-read→in-batch-ADC plumbing.
-# ---------------------------------------------------------------------------
-
-
-def ivfpq_oracle_path(nlist: int = 16, nprobe: int = 4, m: int = 8,
-                      ks: int = 16, k: int = 10) -> str:
-    return os.path.join(
-        ORACLE_DIR, f"ivfpq_sf001_nl{nlist}_np{nprobe}_m{m}_ks{ks}_k{k}.parquet"
-    )
-
-
-def ensure_ivfpq_oracle(nlist: int = 16, nprobe: int = 4, m: int = 8,
-                        ks: int = 16, k: int = 10) -> str:
-    path = ivfpq_oracle_path(nlist, nprobe, m, ks, k)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    from ..functions import georef as G
-    from ..functions.rounding import round_away
-    from ..stages.ann import (
-        _normalize,
-        kmeans_centroids,
-        pq_adc_scores,
-        pq_adc_tables,
-        pq_encode,
-        pq_train,
-    )
-
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    skey = G.derive_key(ids)
-    sample = emb[np.argsort(skey, kind="stable")[:512]]
-    qids = ids[:8]
-    qmat = _normalize(emb[:8].copy())
-    cents = kmeans_centroids(sample, nlist)
-    books = pq_train(sample, m=m, ks=ks)
-    embn = _normalize(emb)
-    cell = np.argmax(embn @ cents.T, axis=1)
-    probed = np.unique(np.argsort(-(qmat @ cents.T), axis=1)[:, :nprobe].ravel())
-    keep = np.isin(cell, probed)
-    kids = ids[keep]
-    codes = pq_encode(embn[keep], books)
-    scores = pq_adc_scores(pq_adc_tables(qmat, books), codes)
-    rows = []
-    for qi in range(len(qids)):
-        s = scores[qi]
-        mask = kids != qids[qi]
-        cand_ids, cand_s = kids[mask], s[mask]
-        sel = np.lexsort((cand_ids, -cand_s))[:k]
-        for rank, idx in enumerate(sel, 1):
-            rows.append(
-                (int(qids[qi]), int(cand_ids[idx]), rank,
-                 float(round_away(cand_s[idx], 6)))
-            )
-    tbl = pa.table(
-        {
-            "query_id": pa.array([r[0] for r in rows], pa.int64()),
-            "vec_id": pa.array([r[1] for r in rows], pa.int64()),
-            "rank": pa.array([r[2] for r in rows], pa.int64()),
-            "pq_score": pa.array([r[3] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_ivfpq_topk() -> str:
-    return (
-        'SELECT query_id, vec_id, "rank", pq_score '
-        f"FROM read_parquet('{ivfpq_oracle_path()}')"
-    )
-
-
-# ---------------------------------------------------------------------------
 # PSNR pair-verification oracle: candidate pairs re-derived with a
 # SEQUENTIAL dict-of-buckets band walk (vs the engine's coarse-group
 # shuffle exchange), pixels re-decoded by the sequential reference path
@@ -2085,74 +1067,6 @@ def sql_psnr_pairs(n: int) -> str:
                 THEN 1 ELSE 0 END AS BIGINT) AS dup40
     FROM read_parquet('{psnr_oracle_path(n)}')
     """
-
-
-# -- distributed PCA oracle ---------------------------------------------------
-
-def pca_oracle_path(sf_tag: str, k: int = 4) -> str:
-    return os.path.join(ORACLE_DIR, f"pca_{sf_tag}_k{k}_v1.parquet")
-
-
-def ensure_pca_oracle(sf_dir: str = ORACLE_SF_DIR, k: int = 4) -> str:
-    """Sequential single-process PCA mirror of stages/pca.py: same
-    canonical expressions (fixed-point quantization, exact-integer
-    scatter, covariance normalization, eigh + largest-|component|
-    sign rule, integer projection + centering) computed in one flat
-    pass with Python-int exact arithmetic for the scatter."""
-    from ..functions.rounding import round_away
-    from ..stages.pca import Q, VQ
-
-    sf_tag = os.path.basename(os.path.normpath(sf_dir)).replace(".", "_")
-    path = pca_oracle_path(sf_tag, k)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-
-    t = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy().astype(np.int64)
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
-    xq = round_away(emb * Q, 0).astype(np.int64)
-    n, d = xq.shape
-
-    # exact scatter via Python ints (overflow-free at any n)
-    s = [int(v) for v in xq.sum(axis=0)]
-    g = xq.T @ xq  # exact int64 at oracle scale; lifted to Python int below
-    denom = float(n) * float(n) * Q * Q
-    cov = np.zeros((d, d), dtype=np.float64)
-    for i in range(d):
-        for j in range(i, d):
-            cov[i, j] = cov[j, i] = float(n * int(g[i, j]) - s[i] * s[j]) / denom
-
-    w, v = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1][:k]
-    vecs = v[:, order]
-    for c in range(vecs.shape[1]):
-        if vecs[np.argmax(np.abs(vecs[:, c])), c] < 0:
-            vecs[:, c] = -vecs[:, c]
-    vq = round_away(vecs * VQ, 0).astype(np.int64)
-    svq = [sum(s[i] * int(vq[i, c]) for i in range(d)) for c in range(k)]
-
-    p2 = xq @ vq
-    nd = float(n)
-    scale = Q * VQ
-    cols: dict = {"vec_id": pa.array(ids, pa.int64())}
-    for c in range(k):
-        pc = (p2[:, c].astype(np.float64) - float(svq[c]) / nd) / scale
-        cols[f"pc{c + 1}"] = pa.array(round_away(pc, 6), pa.float64())
-    tbl = pa.table(cols)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_embedding_pca(k: int = 4) -> str:
-    sf_tag = os.path.basename(os.path.normpath(ORACLE_SF_DIR)).replace(".", "_")
-    pcs = ", ".join(f"pc{c + 1}" for c in range(k))
-    return f"SELECT vec_id, {pcs} FROM read_parquet('{pca_oracle_path(sf_tag, k)}')"
 
 
 # -- DBSCAN oracle ------------------------------------------------------------
@@ -2512,75 +1426,6 @@ def sql_county_mosaic(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# FPS (k-center greedy) oracle: plain sequential loop over the sorted
-# sf0.01 embeddings — one dense maxsim vector, global argmin per round —
-# vs the engine's broadcast-fold + per-block partial argmin
-# (stages/fps.py).  Shares the dots/prep_rows float contract with the
-# k-means oracle family so parity is bitwise, not approximate.
-# ---------------------------------------------------------------------------
-
-FPS_K = 32
-
-
-def fps_oracle_path(k: int = FPS_K) -> str:
-    return os.path.join(ORACLE_DIR, f"fps_sf001_k{k}_v1.parquet")
-
-
-def ensure_fps_oracle(k: int = FPS_K) -> str:
-    from ..functions.rounding import round_away
-    from ..stages.kmeans import dots, prep_rows
-
-    path = fps_oracle_path(k)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    ids, mat = prep_rows(ids, emb)
-
-    maxsim = np.full(len(ids), -2.0, dtype=np.float64)
-    chosen_mask = np.zeros(len(ids), dtype=bool)
-    j = int(np.argmin(ids))  # rank-0 seed: lowest vec_id
-    ranks, picks, sims = [0], [int(ids[j])], [-2.0]
-    for rank in range(1, k):
-        fold = dots(mat, mat[j][None, :])[:, 0]
-        maxsim = np.maximum(maxsim, fold)
-        chosen_mask[j] = True
-        live = ~chosen_mask
-        lj = np.lexsort((ids[live], maxsim[live]))[0]
-        j = int(np.flatnonzero(live)[lj])
-        ranks.append(rank)
-        picks.append(int(ids[j]))
-        sims.append(float(maxsim[j]))
-    tbl = pa.table(
-        {
-            "rank": pa.array(ranks, pa.int64()),
-            "vec_id": pa.array(picks, pa.int64()),
-            "sim_at_pick": pa.array(
-                round_away(np.asarray(sims, np.float64), 6), pa.float64()
-            ),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_fps_diversity(k: int = FPS_K) -> str:
-    return (
-        "SELECT rank, vec_id, sim_at_pick "
-        f"FROM read_parquet('{fps_oracle_path(k)}')"
-    )
-
-
-# ---------------------------------------------------------------------------
 # coverage-depth oracle: per-absolute-pixel covering-tile COUNT, banded
 # (1 / 2 / ≥3) per county.  Structurally independent of the engine's
 # difference-array bucketing (stages/mosaic.depth_bucket): this path
@@ -2689,155 +1534,6 @@ def sql_overlap_depth(n: int) -> str:
     return (
         "SELECT county_fips, d1, d2, d3p "
         f"FROM read_parquet('{depth_oracle_path(n)}')"
-    )
-
-
-# ---------------------------------------------------------------------------
-# PQ→exact rerank oracle: sequential two-stage — the same shared PQ
-# quantizer kernels build the 50-candidate shortlist in one numpy pass,
-# then exact cosine (fixed-order dots) reranks it — vs the engine's
-# distributed shortlist + broadcast-id-set fetch + driver rerank.
-# ---------------------------------------------------------------------------
-
-
-def pq_rerank_oracle_path(shortlist: int = 50, k: int = 10) -> str:
-    return os.path.join(ORACLE_DIR, f"pq_rerank_s{shortlist}_k{k}_v1.parquet")
-
-
-def ensure_pq_rerank_oracle(shortlist: int = 50, k: int = 10,
-                            m: int = 8, ks: int = 16) -> str:
-    path = pq_rerank_oracle_path(shortlist, k)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    from ..functions import georef as G
-    from ..functions.rounding import round_away
-    from ..stages.ann import (
-        _normalize,
-        pq_adc_scores,
-        pq_adc_tables,
-        pq_encode,
-        pq_train,
-    )
-    from ..stages.kmeans import dots
-
-    t = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy()
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    skey = G.derive_key(ids)
-    sample = emb[np.argsort(skey, kind="stable")[:512]]
-    qids = ids[:8]
-    qmat = _normalize(emb[:8].copy())
-    books = pq_train(sample, m=m, ks=ks)
-    embn = _normalize(emb)
-    codes = pq_encode(embn, books)
-    scores = pq_adc_scores(pq_adc_tables(qmat, books), codes)
-    rows = []
-    for qi in range(len(qids)):
-        s = scores[qi]
-        mask = ids != qids[qi]
-        cand_ids, cand_s = ids[mask], s[mask]
-        sel = np.lexsort((cand_ids, -cand_s))[:shortlist]
-        cids = np.sort(cand_ids[sel])
-        pos = np.searchsorted(ids, cids)
-        cos = dots(embn[pos], qmat[qi][None, :])[:, 0]
-        o = np.lexsort((cids, -cos))[:k]
-        for rank, j in enumerate(o, 1):
-            rows.append(
-                (int(qids[qi]), int(cids[j]), rank,
-                 float(round_away(cos[j], 6)))
-            )
-    tbl = pa.table(
-        {
-            "query_id": pa.array([r[0] for r in rows], pa.int64()),
-            "vec_id": pa.array([r[1] for r in rows], pa.int64()),
-            "rank": pa.array([r[2] for r in rows], pa.int64()),
-            "cos": pa.array([r[3] for r in rows], pa.float64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_pq_rerank() -> str:
-    return (
-        'SELECT query_id, vec_id, "rank", cos '
-        f"FROM read_parquet('{pq_rerank_oracle_path()}')"
-    )
-
-
-# ---------------------------------------------------------------------------
-# token-bucket oracle: literal per-EVENT sequential scan with dict state
-# (tok, last_keep_ts) per user — vs the engine's kept-row jump chain
-# (stages/analytic.token_bucket).  Integer µs end-to-end.
-# ---------------------------------------------------------------------------
-
-
-def token_bucket_oracle_path(cost_us: int, cap_us: int) -> str:
-    return os.path.join(
-        ORACLE_DIR, f"token_bucket_sf001_k{cost_us}_c{cap_us}.parquet"
-    )
-
-
-def ensure_token_bucket_oracle(cost_us: int, cap_us: int) -> str:
-    path = token_bucket_oracle_path(cost_us, cap_us)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    ev = pq.read_table(
-        os.path.join(ORACLE_SF_DIR, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
-    ts_us = ev["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_pylist()
-    rows = sorted(
-        zip(
-            ev["user_id"].to_pylist(),
-            ts_us,
-            ev["event_id"].to_pylist(),
-            ev["event_type"].to_pylist(),
-        )
-    )
-    state: dict[int, tuple[int, int]] = {}  # uid -> (tok, last_keep_ts)
-    kept = []
-    for uid, t, eid, typ in rows:
-        st = state.get(uid)
-        if st is None:
-            tok = cap_us - cost_us
-            state[uid] = (tok, t)
-            kept.append((eid, uid, typ, t, tok))
-            continue
-        tok, prev = st
-        avail = min(cap_us, tok + (t - prev))
-        if avail >= cost_us:
-            tok = avail - cost_us
-            state[uid] = (tok, t)
-            kept.append((eid, uid, typ, t, tok))
-    tbl = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in kept], pa.int64()),
-            "user_id": pa.array([r[1] for r in kept], pa.int64()),
-            "event_type": pa.array([r[2] for r in kept], pa.string()),
-            "ts_us": pa.array([r[3] for r in kept], pa.int64()),
-            "tokens_left": pa.array([r[4] for r in kept], pa.int64()),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def sql_token_bucket(cost_us: int, cap_us: int) -> str:
-    return (
-        "SELECT event_id, user_id, event_type, ts_us, tokens_left "
-        f"FROM read_parquet('{token_bucket_oracle_path(cost_us, cap_us)}')"
     )
 
 

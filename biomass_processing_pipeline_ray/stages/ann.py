@@ -351,8 +351,7 @@ def append_to_ivf_index(ds, index_dir: str, tag: str = "") -> str:
     valid.  The manifest is swapped AFTER all moves land (a reader
     planning mid-append sees the complete pre-append set).  NOT
     idempotent by itself; callers gate re-runs with a completion marker
-    (the ``q_ann_ivf_lifecycle`` pattern rebuilds from scratch when its
-    marker is missing)."""
+    (and rebuild from scratch when the marker is missing)."""
     import os
     import shutil
 

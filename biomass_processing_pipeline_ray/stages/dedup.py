@@ -26,40 +26,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# -- exact dedup -------------------------------------------------------------
-
-
-def add_md5_batch(batch: pa.Table, col: str = "text") -> pa.Table:
-    hashes = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in batch[col].to_pylist()]
-    return batch.append_column("text_md5", pa.array(hashes, pa.string()))
-
-
-def exact_dedup(ds, col: str = "text"):
-    """Keep the lowest doc_id per identical text; returns (kept_ds).
-
-    Hash-partition + per-group first, expressed as hash AGGREGATES
-    (Min, Sum of partial counts) rather than ``map_groups`` — at 10⁹+
-    distinct texts almost every group has one row, and per-group Python
-    dispatch would dominate; aggregates stay vectorized end-to-end.
-    A per-batch pandas combiner pre-collapses duplicates so only one
-    partial row per (batch, hash) shuffles."""
-    from ray.data.aggregate import Min, Sum
-
-    hashed = ds.map_batches(lambda b: add_md5_batch(b, col), batch_format="pyarrow")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("text_md5", as_index=False).agg(
-            doc_id=("doc_id", "min"), dup_count=("doc_id", "size")
-        )
-        g["dup_count"] = g["dup_count"].astype(np.int64)
-        return g
-
-    partials = hashed.map_batches(partial, batch_format="pandas")
-    return partials.groupby("text_md5").aggregate(
-        Min("doc_id", alias_name="doc_id"),
-        Sum("dup_count", alias_name="dup_count"),
-    )
-
 
 # -- minhash / LSH ------------------------------------------------------------
 
@@ -90,18 +56,6 @@ def minhash_signature(shingles: np.ndarray) -> np.ndarray:
     # affine transforms in uint64; values < 2^32 so a*h+b < 2^64 safe-ish
     v = (shingles[:, None] * _MH_A[None, :] + _MH_B[None, :]) % _MH_P
     return v.min(axis=0)
-
-
-def char_shingle_set(text: str, k: int = 8) -> np.ndarray:
-    """Character k-gram shingles hashed with crc32 — the n-gram-Jaccard
-    dedup flavor (robust to word-boundary edits)."""
-    if len(text) < k:
-        grams = [text] if text else []
-    else:
-        grams = [text[i : i + k] for i in range(len(text) - k + 1)]
-    return np.unique(
-        np.asarray([zlib.crc32(g.encode("utf-8")) for g in grams], dtype=np.uint64)
-    )
 
 
 def minhash_bands_batch(batch: pa.Table, n_coarse: int = 1024, shingler=None) -> pa.Table:
@@ -400,8 +354,7 @@ def append_to_band_index(
     assumes no compaction ran between the two attempts of the SAME tag
     (a compaction folds the first attempt's rows into a merged file the
     tag sweep cannot see) — callers gate appends with a marker before
-    compacting, as ``q_minhash_dedup_lifecycle`` and
-    ``jobs/run_dedup_maintenance.py`` do.  With an empty tag the name
+    compacting.  With an empty tag the name
     falls back to the pid and re-appending doubles rows (harmless for
     candidate generation, which dedups pairs)."""
     import os
@@ -872,7 +825,6 @@ def _coarse_pairs(g: pd.DataFrame, max_hamming: int) -> pa.Table:
     )
 
 
-
 def banded_hamming_pairs(
     ds, id_col: str, hash_col: str, max_hamming: int = 3, n_coarse: int | None = 1024
 ):
@@ -908,50 +860,6 @@ def banded_hamming_pairs(
     # shuffle total for the whole operator.
     return exploded.groupby("coarse").map_groups(
         partial(_coarse_pairs, max_hamming=max_hamming), batch_format="pandas"
-    )
-
-
-# -- simhash -----------------------------------------------------------------
-
-
-def simhash64(text: str) -> int:
-    words = text.split()
-    if not words:
-        return 0
-    hs = np.asarray([zlib.crc32(w.encode("utf-8")) for w in words], dtype=np.uint64)
-    # widen to 64 bits deterministically: h64 = crc32(w) * golden ^ shifted
-    h64 = hs * np.uint64(0x9E3779B97F4A7C15)
-    bits = ((h64[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.int64
-    )
-    acc = np.where(bits == 1, 1, -1).sum(axis=0)
-    out = np.uint64(0)
-    for i in range(64):
-        if acc[i] > 0:
-            out |= np.uint64(1) << np.uint64(i)
-    return int(out.astype(np.int64))
-
-
-def simhash_batch(batch: pa.Table) -> pa.Table:
-    sims = np.asarray([simhash64(t) for t in batch["text"].to_pylist()], dtype=np.int64)
-    out = pa.table({"doc_id": batch["doc_id"], "simhash": pa.array(sims)})
-    u = sims.astype(np.uint64)
-    for b in range(4):
-        band = ((u >> np.uint64(16 * b)) & np.uint64(0xFFFF)).astype(np.int64)
-        out = out.append_column(f"sim_band{b}", pa.array(band))
-    return out
-
-
-def simhash_neardup_pairs(ds, max_hamming: int = 3, n_rows: int | None = None):
-    """Hamming ≤ max_hamming simhash pairs (banded, single shuffle)."""
-
-    def sims_only(batch: pa.Table) -> pa.Table:
-        t = simhash_batch(batch)
-        return t.select(["doc_id", "simhash"])
-
-    sims = ds.map_batches(sims_only, batch_format="pyarrow")
-    return banded_hamming_pairs(
-        sims, "doc_id", "simhash", max_hamming, n_coarse=adaptive_n_coarse(n_rows)
     )
 
 

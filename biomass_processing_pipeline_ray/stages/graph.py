@@ -219,19 +219,6 @@ def pagerank_broadcast(edges, node_ids: np.ndarray, src: str = "src",
     return pd.DataFrame({"node": node_ids, "rank": r})
 
 
-def pagerank_auto(edges, nodes, **kw):
-    """Dispatch: broadcast-rank fast path when the node universe fits
-    the broadcast budget, co-partitioned exchanges otherwise.  Both
-    paths are hash-identical (pytest-asserted)."""
-    n = nodes.count()
-    if n <= BROADCAST_NODE_LIMIT:
-        ids = np.asarray(
-            nodes.to_pandas()["node"].to_numpy(), dtype=np.int64
-        )
-        return pagerank_broadcast(edges, ids, **kw)
-    return pagerank(edges, nodes, **kw)
-
-
 # ---------------------------------------------------------------------------
 # triangle counting (degree-oriented node-iterator)
 # ---------------------------------------------------------------------------

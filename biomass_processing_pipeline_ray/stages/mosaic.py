@@ -213,34 +213,31 @@ def mosaic_bucket(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def mosaic_zonal(make_ds):
-    """tiles Dataset factory → 64-row (county_fips, n_px, mosaic_sum).
+def _push_shuffled_buckets(ds, bucket_fn):
+    """decode → slice → per-bucket canvas pass over ``ds``, with the
+    bucket exchange on the push-based shuffle.
 
-    ``make_ds`` is a zero-arg callable building the tiles Dataset; it
-    runs INSIDE a push-based-shuffle context scope because Ray captures
-    the DataContext at the ROOT dataset's creation (scoping only the
-    groupby construction does not reach the sort — measured: the
-    root-scoped form runs the 3M-tile exchange in 86–99 s vs 182–187 s
-    pull-based / groupby-scoped; sf0.1 unchanged ±10 %).  Push-based
-    pipelines map-side merge with reduce — also the multi-node-correct
-    choice for the one large exchange here.  The global flag is
-    restored before returning."""
-    from ray.data import DataContext
+    Ray runs a plan with the DataContext captured at the ROOT dataset's
+    creation (scoping only the groupby construction does not reach the
+    sort — measured: the root-scoped form runs the 3M-tile exchange in
+    86–99 s vs 182–187 s pull-based / groupby-scoped; sf0.1 unchanged
+    ±10 %), so the flag goes on ``ds.context``: the per-dataset copy
+    every derived dataset shares.  The process-global context is left
+    untouched.  Push-based pipelines map-side merge with reduce — also
+    the multi-node-correct choice for the one large exchange here."""
+    ds.context.use_push_based_shuffle = True
+    return (
+        ds.map_batches(decode_slices, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(bucket_fn, batch_format="pandas")
+    )
 
+
+def mosaic_zonal(ds):
+    """tiles Dataset → 64-row (county_fips, n_px, mosaic_sum)."""
     from .zonal import bucketed_agg
 
-    ctx = DataContext.get_current()
-    prev = ctx.use_push_based_shuffle
-    ctx.use_push_based_shuffle = True
-    try:
-        parts = (
-            make_ds()
-            .map_batches(decode_slices, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(mosaic_bucket, batch_format="pandas")
-        )
-    finally:
-        ctx.use_push_based_shuffle = prev
+    parts = _push_shuffled_buckets(ds, mosaic_bucket)
     out = bucketed_agg(
         parts,
         ["county_fips"],
@@ -474,27 +471,14 @@ def mosaic_mean_bucket(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def mosaic_mean_zonal(make_ds):
+def mosaic_mean_zonal(ds):
     """MEAN-composite twin of :func:`mosaic_zonal` (same decode-once
     slice exchange under root-scoped push shuffle, different per-pixel
     reduce: average over covering tiles instead of max — the
     de-seaming rule when overlapping scenes disagree by noise)."""
-    from ray.data import DataContext
-
     from .zonal import bucketed_agg
 
-    ctx = DataContext.get_current()
-    prev = ctx.use_push_based_shuffle
-    ctx.use_push_based_shuffle = True
-    try:
-        parts = (
-            make_ds()
-            .map_batches(decode_slices, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(mosaic_mean_bucket, batch_format="pandas")
-        )
-    finally:
-        ctx.use_push_based_shuffle = prev
+    parts = _push_shuffled_buckets(ds, mosaic_mean_bucket)
     out = bucketed_agg(
         parts,
         ["county_fips"],
@@ -582,27 +566,14 @@ def mosaic_sweep_bucket(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def mosaic_sweep_zonal(make_ds):
+def mosaic_sweep_zonal(ds):
     """FUSED composite sweep: max + mean county mosaics from ONE decode,
     ONE slice exchange, ONE canvas pass — the pixel-side analog of the
     fused-decode curation sweep (two standalone mosaics pay the decode
     and the push-shuffled exchange twice for the same slices)."""
-    from ray.data import DataContext
-
     from .zonal import bucketed_agg
 
-    ctx = DataContext.get_current()
-    prev = ctx.use_push_based_shuffle
-    ctx.use_push_based_shuffle = True
-    try:
-        parts = (
-            make_ds()
-            .map_batches(decode_slices, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(mosaic_sweep_bucket, batch_format="pandas")
-        )
-    finally:
-        ctx.use_push_based_shuffle = prev
+    parts = _push_shuffled_buckets(ds, mosaic_sweep_bucket)
     out = bucketed_agg(
         parts,
         ["county_fips"],
@@ -636,15 +607,30 @@ def mosaic_sweep_zonal(make_ds):
 OVL_BUCKET = 512  # overlap-join bucket edge in px (footprints ≤ 64 px)
 
 
-def overlap_assign(batch: pa.Table) -> pa.Table:
-    """Tile extents fanned to every OVL_BUCKET×OVL_BUCKET cell their
-    FULL (unclipped) footprint intersects — the co-location exchange of
-    the tile↔tile overlap join.  Rows are 5 ints; a tile hits ≤ 2
-    cells per axis (64-px footprints vs 512-px cells)."""
+PAIR_SCHEMA = pa.schema(
+    [(c, pa.int64()) for c in ("a", "b", "ox_px", "oy_px", "shared_px")]
+)
+
+
+def tile_extents(batch: pa.Table) -> pa.Table:
+    """(image_id, w, h) → the 5-int extent rows (tid, x0, x1, y0, y1) of
+    each tile's FULL (unclipped) footprint."""
     ids = image_ids_to_int(batch["image_id"])
-    ix0, ix1, iy0, iy1 = tile_pixel_extent(
+    x0, x1, y0, y1 = tile_pixel_extent(
         ids, batch["w"].to_numpy(), batch["h"].to_numpy()
     )
+    cols = {"tid": ids, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
+    return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
+
+
+def overlap_assign(batch: pa.Table) -> pa.Table:
+    """5-int extent rows fanned to every OVL_BUCKET×OVL_BUCKET cell
+    they intersect — the co-location exchange of the tile↔tile overlap
+    join.  A tile hits ≤ 2 cells per axis (64-px footprints vs 512-px
+    cells)."""
+    ids = batch["tid"].to_numpy()
+    ix0, ix1 = batch["x0"].to_numpy(), batch["x1"].to_numpy()
+    iy0, iy1 = batch["y0"].to_numpy(), batch["y1"].to_numpy()
     o_key: list[int] = []
     o_id: list[int] = []
     o: dict[str, list[int]] = {"x0": [], "x1": [], "y0": [], "y1": []}
@@ -724,15 +710,7 @@ def overlap_pairs_bucket(g: pd.DataFrame) -> pa.Table:
             np.minimum(y1[ii], y1[jj]) - np.maximum(y0[ii], y0[jj]) + 1
         )
     if not out_a:
-        return pa.table(
-            {
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                "ox_px": pa.array([], pa.int64()),
-                "oy_px": pa.array([], pa.int64()),
-                "shared_px": pa.array([], pa.int64()),
-            }
-        )
+        return PAIR_SCHEMA.empty_table()
     a = np.concatenate(out_a)
     b = np.concatenate(out_b)
     ox = np.concatenate(out_ox)
@@ -748,16 +726,30 @@ def overlap_pairs_bucket(g: pd.DataFrame) -> pa.Table:
     )
 
 
-def tile_overlap_pairs(ds):
-    """All tile pairs with intersecting footprints + the intersection
-    dims — the 2-D spatial interval self-join (the edge discovery the
-    reference's scene-overlap handling implies, and the candidate set
-    any stitching/de-seaming pass starts from).  One narrow co-location
-    exchange (5-int extent rows fanned ≤ 4×), per-cell sorted neighbor
-    sweep, owner-corner dedup."""
-    return (
+def extent_overlap_pairs(ds):
+    """All pairs of 5-int extent rows (tid, x0, x1, y0, y1) whose
+    footprints intersect, with the intersection dims.  One narrow
+    co-location exchange (rows fanned ≤ 4×), per-cell sorted neighbor
+    sweep, owner-corner dedup.  The result carries PAIR_SCHEMA even when
+    no pair exists."""
+    import ray.data as rd
+
+    pairs = (
         ds.map_batches(overlap_assign, batch_format="pyarrow")
         .repartition(32)
         .groupby("cell")
         .map_groups(overlap_pairs_bucket, batch_format="pandas")
+    )
+    # an empty input runs no group, so the result would have no schema;
+    # the typed empty block gives it PAIR_SCHEMA in every case
+    return pairs.union(rd.from_arrow(PAIR_SCHEMA.empty_table()))
+
+
+def tile_overlap_pairs(ds):
+    """All tile pairs with intersecting footprints + the intersection
+    dims — the 2-D spatial interval self-join (the edge discovery the
+    reference's scene-overlap handling implies, and the candidate set
+    any stitching/de-seaming pass starts from)."""
+    return extent_overlap_pairs(
+        ds.map_batches(tile_extents, batch_format="pyarrow")
     )

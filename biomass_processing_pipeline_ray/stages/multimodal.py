@@ -255,25 +255,6 @@ class AudioFeatureStage:
         )
 
 
-class AudioFeatureStageFused(AudioFeatureStage):
-    """AudioFeatureStage with the parquet read fused into the actor
-    (WAV payloads never enter the object store — the
-    ``ImageResizeStageFused`` pattern)."""
-
-    COLUMNS = ["aud_id", "bytes"]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        tables = [
-            pq.read_table(p, columns=self.COLUMNS)
-            for p in batch["item"].to_pylist()
-        ]
-        return super().__call__(
-            pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-        )
-
-
 # -- video: REAL YUV4MPEG2 (y4m) decode, stub only for compressed formats ----
 
 
@@ -407,20 +388,3 @@ class VideoFrameSampleStage:
         )
 
 
-class VideoFrameSampleStageFused(VideoFrameSampleStage):
-    """VideoFrameSampleStage with the parquet read fused into the actor
-    (y4m payloads never enter the object store — the
-    ``ImageResizeStageFused`` pattern)."""
-
-    COLUMNS = ["vid_id", "bytes"]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        tables = [
-            pq.read_table(p, columns=self.COLUMNS)
-            for p in batch["item"].to_pylist()
-        ]
-        return super().__call__(
-            pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-        )

@@ -305,8 +305,6 @@ def shard_packing(ds, budget: int, id_col: str = "doc_id",
 
 # -- exact global top-f% selection without a shuffle --------------------------
 
-_SEL_BITS = 12  # 4096-way histogram per refinement round
-
 
 def orderable_u64(x: np.ndarray) -> np.ndarray:
     """IEEE-754 order-preserving uint64 key: k(a) < k(b) ⇔ a < b for

@@ -18,14 +18,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# language marker substrings; counts tie-break in this fixed order
-LANG_MARKERS = [
-    ("en", " the "),
-    ("es", " el "),
-    ("de", " der "),
-    ("fr", " le "),
-    ("zh", " shi "),
-]
 PUNCT_CLASS = "[.,!?;:]"
 
 # ASCII whitespace, written EXPLICITLY on both sides: Python re / pandas
@@ -69,92 +61,6 @@ def sql_text_stats(table: str = "documents") -> str:
                 ELSE CAST(LENGTH(REGEXP_REPLACE(text, '{WS_SQL}', '', 'g')) AS DOUBLE)
                      / LEN(REGEXP_EXTRACT_ALL(text, '{NONWS_RUN_SQL}'))
            END AS avg_tok_len
-    FROM {table}
-    """
-
-
-def langid_batch(batch: pa.Table) -> pa.Table:
-    """Stopword-marker argmax language heuristic (SQL-mirrored)."""
-    s = pd.Series(batch["text"].to_pylist())
-    counts = {
-        lang: s.str.count(marker.replace(" ", r"\ ")).astype(np.int64)
-        for lang, marker in LANG_MARKERS
-    }
-    # argmax with fixed preference order (strict > beats later entries)
-    best_lang = np.full(len(s), LANG_MARKERS[0][0], dtype=object)
-    best_cnt = counts[LANG_MARKERS[0][0]].to_numpy().copy()
-    for lang, _ in LANG_MARKERS[1:]:
-        c = counts[lang].to_numpy()
-        take = c > best_cnt
-        best_lang[take] = lang
-        best_cnt = np.where(take, c, best_cnt)
-    stored = np.asarray(batch["lang"].to_pylist(), dtype=object)
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "predicted_lang": pa.array(best_lang.astype(str), pa.string()),
-            "lang_match": pa.array(best_lang == stored),
-        }
-    )
-
-
-def _sql_marker_count(marker: str) -> str:
-    return f"((LENGTH(text) - LENGTH(REPLACE(text, '{marker}', ''))) / {len(marker)})"
-
-
-def sql_langid(table: str = "documents") -> str:
-    cnt = {lang: _sql_marker_count(m) for lang, m in LANG_MARKERS}
-    # replicate the fixed-order strict-> argmax
-    pred = f"'{LANG_MARKERS[0][0]}'"
-    best = cnt[LANG_MARKERS[0][0]]
-    for lang, _ in LANG_MARKERS[1:]:
-        pred = f"CASE WHEN {cnt[lang]} > {best} THEN '{lang}' ELSE {pred} END"
-        best = f"GREATEST({cnt[lang]}, {best})"
-    return f"""
-    SELECT doc_id, {pred} AS predicted_lang, ({pred} = lang) AS lang_match
-    FROM {table}
-    """
-
-
-def quality_batch(batch: pa.Table) -> pa.Table:
-    """Composite quality score + bucket (reference analog: the piecewise
-    confidence functions, ``crop_analyzer_v3.py:264-317``)."""
-    stats = text_stats_batch(batch).to_pandas()
-    n_chars = pd.Series(batch["n_chars"].to_pylist()).astype(np.int64)
-    tok = stats["n_tokens"].to_numpy().astype(np.float64)
-    punct = stats["n_punct"].to_numpy().astype(np.float64)
-    nchar = n_chars.to_numpy().astype(np.float64)
-    score = tok / (nchar + 1.0) * 100.0 - punct / (tok + 1.0)
-    bucket = np.where(score > 18.0, "high", np.where(score > 12.0, "mid", "low"))
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "quality_score": pa.array(score),
-            "quality_bucket": pa.array(bucket.astype(str), pa.string()),
-        }
-    )
-
-
-def sql_quality_score_expr() -> str:
-    """The quality-score double expression, shared by ``sql_quality``
-    and the AUC oracle so both sides derive bit-identical scores."""
-    tok = (
-        "CAST(LEN(REGEXP_EXTRACT_ALL(text, "
-        f"'{NONWS_RUN_SQL}')) AS DOUBLE)"
-    )
-    punct = "CAST(LENGTH(REGEXP_REPLACE(text, '[^.,!?;:]', '', 'g')) AS DOUBLE)"
-    return (
-        f"({tok} / (CAST(n_chars AS DOUBLE) + 1.0) * 100.0"
-        f" - {punct} / ({tok} + 1.0))"
-    )
-
-
-def sql_quality(table: str = "documents") -> str:
-    score = sql_quality_score_expr()
-    return f"""
-    SELECT doc_id, {score} AS quality_score,
-           CASE WHEN {score} > 18.0 THEN 'high'
-                WHEN {score} > 12.0 THEN 'mid' ELSE 'low' END AS quality_bucket
     FROM {table}
     """
 
@@ -243,19 +149,6 @@ def winnow_fingerprints(text: str, k: int = 8, w: int = 4) -> np.ndarray:
         return np.unique(h.min(keepdims=True))
     sw = np.lib.stride_tricks.sliding_window_view(h, w)
     return np.unique(sw.min(axis=1))
-
-
-def fingerprint_batch(batch: pa.Table) -> pa.Table:
-    texts = batch["text"].to_pylist()
-    fps = np.asarray([poly_fingerprint(t) for t in texts], dtype=np.int64)
-    nwin = np.asarray([len(winnow_fingerprints(t)) for t in texts], dtype=np.int64)
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "fingerprint": pa.array(fps),
-            "n_winnow_fp": pa.array(nwin),
-        }
-    )
 
 
 # -- TF-IDF term extraction ---------------------------------------------------
@@ -802,25 +695,6 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def sql_repetition(table: str = "documents") -> str:
-    return f"""
-    WITH tok AS (SELECT doc_id, string_split(text, ' ') AS w FROM {table}),
-    bi AS (
-        SELECT doc_id, array_to_string(w[i:i+1], ' ') AS g
-        FROM tok, UNNEST(range(1, len(w))) AS t(i)
-        WHERE len(w) >= 2
-    ),
-    cnt AS (SELECT doc_id, g, COUNT(*) AS c FROM bi GROUP BY 1, 2),
-    agg AS (SELECT doc_id, MAX(c) AS mx, SUM(c) AS tot FROM cnt GROUP BY 1)
-    SELECT CAST(d.doc_id AS BIGINT) AS doc_id,
-           CAST(COALESCE(a.mx, 0) AS BIGINT) AS top_bigram_count,
-           CAST(COALESCE(a.tot, 0) AS BIGINT) AS n_bigrams,
-           CAST(CASE WHEN COALESCE(a.mx, 0) * 5 <= COALESCE(a.tot, 0)
-                THEN 1 ELSE 0 END AS BIGINT) AS keep
-    FROM {table} d LEFT JOIN agg a USING (doc_id)
-    """
-
-
 # -- lexical diversity (type–token ratio, the Gopher §A1.1 family) ------------
 #
 # TTR = distinct tokens / total tokens per document: the classic
@@ -1004,30 +878,6 @@ def dupgram_bucket(g: pd.DataFrame) -> pa.Table:
     )
 
 
-def sql_dup_gram_frac(n: int = 4, table: str = "documents") -> str:
-    m = n - 1
-    return f"""
-    WITH tok AS (SELECT doc_id, string_split(text, ' ') AS w FROM {table}),
-    grams AS (
-        SELECT DISTINCT doc_id, array_to_string(w[i:i+{m}], ' ') AS gram
-        FROM tok, UNNEST(range(1, len(w) - {m - 1})) AS t(i)
-        WHERE len(w) >= {n}
-    ),
-    cnt AS (SELECT gram, COUNT(*) AS nd FROM grams GROUP BY 1),
-    per AS (
-        SELECT g.doc_id, COUNT(*) AS n_grams,
-               SUM(CASE WHEN c.nd >= 2 THEN 1 ELSE 0 END) AS dup_grams
-        FROM grams g JOIN cnt c USING (gram) GROUP BY 1
-    )
-    SELECT CAST(d.doc_id AS BIGINT) AS doc_id,
-           CAST(COALESCE(p.n_grams, 0) AS BIGINT) AS n_grams,
-           CAST(COALESCE(p.dup_grams, 0) AS BIGINT) AS dup_grams,
-           ROUND(CASE WHEN COALESCE(p.n_grams, 0) = 0 THEN 0.0
-                      ELSE p.dup_grams * 1.0 / p.n_grams END, 6) AS dup_frac
-    FROM {table} d LEFT JOIN per p USING (doc_id)
-    """
-
-
 def srcgram_rows(batch: pa.Table, n: int = 4, nb: int = 64) -> pa.Table:
     """Explode documents into batch-distinct ``(bk, gram, source)``
     rows for the cross-source overlap matrix.  Same vectorized
@@ -1111,31 +961,6 @@ def srcgram_bucket(g: pd.DataFrame) -> pa.Table:
             ),
         }
     )
-
-
-def sql_source_gram_overlap(n: int = 4, table: str = "documents") -> str:
-    m = n - 1
-    return f"""
-    WITH tok AS (SELECT source, string_split(text, ' ') AS w FROM {table}),
-    grams AS (
-        SELECT DISTINCT source, array_to_string(w[i:i+{m}], ' ') AS gram
-        FROM tok, UNNEST(range(1, len(w) - {m - 1})) AS t(i)
-        WHERE len(w) >= {n}
-    ),
-    sz AS (SELECT source, COUNT(*) AS n FROM grams GROUP BY 1),
-    ov AS (
-        SELECT a.source AS src_a, b.source AS src_b, COUNT(*) AS c
-        FROM grams a JOIN grams b USING (gram)
-        WHERE a.source < b.source GROUP BY 1, 2
-    )
-    SELECT sa.source AS src_a, sb.source AS src_b,
-           CAST(sa.n AS BIGINT) AS n_a, CAST(sb.n AS BIGINT) AS n_b,
-           CAST(COALESCE(o.c, 0) AS BIGINT) AS n_common,
-           ROUND(COALESCE(o.c, 0) * 1.0
-                 / (sa.n + sb.n - COALESCE(o.c, 0)), 6) AS jaccard
-    FROM sz sa JOIN sz sb ON sa.source < sb.source
-    LEFT JOIN ov o ON o.src_a = sa.source AND o.src_b = sb.source
-    """
 
 
 # -- unigram-LM quality scoring (CCNet-style) ---------------------------------
@@ -1241,26 +1066,6 @@ def fit_unigram_units(docs) -> pd.Series:
         count=len(c),
     )
     return pd.Series(u, index=cnt["tok"].to_numpy())
-
-
-def sql_unigram_lm_nll(table: str = "documents") -> str:
-    """DuckDB twin of the unigram-LM scorer (micro-unit arithmetic)."""
-    return f"""
-    WITH toks AS (
-        SELECT doc_id, UNNEST(string_split(text, ' ')) AS tok FROM {table}
-    ),
-    cnt AS (SELECT tok, CAST(COUNT(*) AS DOUBLE) AS c FROM toks GROUP BY tok),
-    tot AS (SELECT CAST(SUM(c) AS DOUBLE) AS n FROM cnt),
-    unit AS (
-        SELECT t.doc_id,
-               CAST(ROUND(-LN(c.c / tot.n) * 1000000.0) AS BIGINT) AS u
-        FROM toks t JOIN cnt c USING (tok) CROSS JOIN tot
-    )
-    SELECT doc_id,
-           CAST(COUNT(*) AS BIGINT) AS n_tokens,
-           ROUND(CAST(SUM(u) AS DOUBLE) / 1000000.0 / COUNT(*), 6) AS avg_nll
-    FROM unit GROUP BY doc_id
-    """
 
 
 # -- DSIR importance weighting (hashed-feature log-ratio) ----------------------
@@ -1404,42 +1209,3 @@ class DSIRScorer:
         )
 
 
-def sql_dsir_weights(
-    target_source: str = DSIR_TARGET_SOURCE, table: str = "documents"
-) -> str:
-    """DuckDB twin of the DSIR scorer (micro-unit arithmetic;
-    ``substr(md5(tok), 1, 4)`` is the exact hashed-bucket mirror)."""
-    return f"""
-    WITH toks AS (
-        SELECT doc_id, source, UNNEST(string_split(text, ' ')) AS tok
-        FROM {table}
-    ),
-    feat AS (
-        SELECT doc_id, source, substr(md5(tok), 1, 4) AS b FROM toks
-    ),
-    cnt AS (
-        SELECT b,
-               CAST(SUM(CASE WHEN source = '{target_source}'
-                             THEN 1 ELSE 0 END) AS DOUBLE) AS ct,
-               CAST(SUM(CASE WHEN source <> '{target_source}'
-                             THEN 1 ELSE 0 END) AS DOUBLE) AS cr
-        FROM feat GROUP BY b
-    ),
-    tot AS (
-        SELECT SUM(ct) AS nt, SUM(cr) AS nr,
-               CAST(COUNT(*) AS DOUBLE) AS v
-        FROM cnt
-    ),
-    unit AS (
-        SELECT b,
-               CAST(ROUND((LN((ct + 0.5) / (nt + 0.5 * v))
-                         - LN((cr + 0.5) / (nr + 0.5 * v)))
-                         * 1000000.0) AS BIGINT) AS u
-        FROM cnt CROSS JOIN tot
-    )
-    SELECT f.doc_id,
-           CAST(COUNT(*) AS BIGINT) AS n_tokens,
-           ROUND(CAST(SUM(unit.u) AS DOUBLE) / 1000000.0, 6) AS dsir_w
-    FROM feat f JOIN unit USING (b)
-    GROUP BY f.doc_id
-    """

@@ -99,87 +99,6 @@ def sliding_partial(
     return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
 
-def sliding_aggregate(
-    ds, width_us: int = US_PER_HOUR, hop_us: int = US_PER_HOUR // 2
-):
-    from ray.data.aggregate import Sum
-
-    partial = ds.map_batches(
-        lambda b: sliding_partial(b, width_us, hop_us), batch_format="pyarrow"
-    )
-    from .zonal import combine_partials
-
-    return combine_partials(
-        partial,
-        ["event_type", "window_id"],
-        [Sum("n", alias_name="n"), Sum("value_sum", alias_name="value_sum")],
-    )
-
-
-def watermark_partial(
-    batch: pa.Table,
-    width_us: int = US_PER_HOUR,
-    lateness_us: int = US_PER_HOUR // 4,
-    delay_mod: int = 7,
-    delay_step_us: int = 600_000_000,
-) -> pa.Table:
-    """Watermark semantics over a replayed log: each event's ARRIVAL
-    time is its event time plus a deterministic per-event delay
-    (``(event_id % delay_mod) * delay_step``, standing in for network
-    lag).  A tumbling window finalizes at ``window_end + lateness``;
-    events arriving later are counted as dropped, not aggregated —
-    the allowed-lateness rule of streaming engines, expressed as a
-    deterministic batch transform (mergeable partials)."""
-    from ..functions.rounding import snap_binary
-
-    ts = batch["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    eid = batch["event_id"].to_numpy()
-    arrival = ts + (eid % delay_mod) * delay_step_us
-    bucket = ts // width_us
-    on_time = arrival <= (bucket + 1) * width_us + lateness_us
-    etype = np.asarray(batch["event_type"].to_pylist(), dtype=object)
-    val = snap_binary(batch["value"].to_numpy())
-    df = pd.DataFrame(
-        {
-            "event_type": etype,
-            "hour_bucket": bucket,
-            "on_time": on_time.astype(np.int64),
-            "late": (~on_time).astype(np.int64),
-            "value": np.where(on_time, val, 0.0),
-        }
-    )
-    g = df.groupby(["event_type", "hour_bucket"], as_index=False).agg(
-        n_on_time=("on_time", "sum"),
-        n_late=("late", "sum"),
-        value_sum=("value", "sum"),
-    )
-    g["n_on_time"] = g["n_on_time"].astype(np.int64)
-    g["n_late"] = g["n_late"].astype(np.int64)
-    # strip the b'pandas' footer from_pandas attaches: it makes the
-    # schema unhashable (pyarrow 16) and every downstream shuffle
-    # concat then skips Ray's schema-dedup fast path
-    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-
-def watermark_aggregate(ds, **kw):
-    from ray.data.aggregate import Sum
-
-    partial = ds.map_batches(
-        lambda b: watermark_partial(b, **kw), batch_format="pyarrow"
-    )
-    from .zonal import combine_partials
-
-    return combine_partials(
-        partial,
-        ["event_type", "hour_bucket"],
-        [
-            Sum("n_on_time", alias_name="n_on_time"),
-            Sum("n_late", alias_name="n_late"),
-            Sum("value_sum", alias_name="value_sum"),
-        ],
-    )
-
-
 def sessionize(ds, gap_us: int = SESSION_GAP_US, n_coarse: int = 256):
     """Per-user session counts with a gap rule.
 
@@ -440,18 +359,6 @@ def range_join_orders_events(
     return unioned.groupby("coarse").map_groups(bucket, batch_format="pandas")
 
 
-def asof_join_orders_events(orders_ds, events_ds, n_coarse: int = 128):
-    """For each order: the latest event of that user at/before order time."""
-    return _asof_join(
-        orders_ds,
-        events_ds,
-        ("o_custkey", "o_orderdate", "o_orderkey", None),
-        ("user_id", "ts", "event_id", "value"),
-        ("o_orderkey", "o_custkey", "last_event_id", "last_value"),
-        n_coarse,
-    )
-
-
 def asof_join_events_orders(events_ds, orders_ds, n_coarse: int = 128):
     """For each event: the latest order of that user at/before event time."""
     return _asof_join(
@@ -488,48 +395,6 @@ def asof_join_events_orders(events_ds, orders_ds, n_coarse: int = 128):
 # ---------------------------------------------------------------------------
 
 CONC_BUCKET_US = 3_600_000_000  # 1 h time-range partition
-
-
-def session_intervals(ds, gap_us: int = SESSION_GAP_US, n_coarse: int = 256):
-    """(start_us, end_us) per user session — same gap rule (and the
-    same (ts, event_id) ordering) as ``sessionize``."""
-
-    def prep(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "ts_us": _ts_us_col(b["ts"]),
-                "coarse": pa.array(uid % n_coarse),
-            }
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        is_new = np.ones(len(g), dtype=np.int64)
-        if len(g) > 1:
-            is_new[1:] = (
-                (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
-            ).astype(np.int64)
-        sid = np.cumsum(is_new)  # global (within bucket) session id
-        out = pd.DataFrame({"sid": sid, "ts": ts}).groupby("sid", as_index=False).agg(
-            start_us=("ts", "min"), end_us=("ts", "max")
-        )
-        return pa.table(
-            {
-                "start_us": pa.array(out["start_us"].to_numpy(), pa.int64()),
-                "end_us": pa.array(out["end_us"].to_numpy(), pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
 
 
 def max_concurrency(intervals, bucket_us: int = CONC_BUCKET_US) -> pd.DataFrame:

@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.out, exist_ok=True)
     t0 = time.time()
     mos = mosaic_zonal(
-        lambda: read_tiles(
+        read_tiles(
             args.tiles, columns=["image_id", "bytes", "w", "h", "fmt"]
         )
     )

@@ -1,27 +1,16 @@
-"""5× scale ladder for the heavy non-headline pipelines (round-3
-verdict #6: the 5× re-check covered the headline only).
+"""5× scale ladder for the heavy non-headline tile pipelines.
 
-Builds a deterministic sf0.5 twin of the inputs each ladder query
-reads — NO external data, everything derived from the sf0.1 fixtures:
+Every ladder query reads only the tile universe, so the 5× twin needs
+no data of its own: ``universe_n`` derives the tile count from the sf
+dir's name and ``tiles_path`` regenerates / reuses the cached
+deterministic 3,000,000-tile fixture
+(``/tmp/graft_cache/tiles_n3000000_s42_v2``) for ``sf0.5``.
 
-- tiles: ``tiles_path`` regenerates / reuses the cached deterministic
-  3,000,000-tile fixture (``/tmp/graft_cache/tiles_n3000000_s42_v2``,
-  the same one the headline 5× check used).
-- documents.parquet: 5 replicas of the sf0.1 table.  Replica r>0
-  Caesar-shifts every letter by r (``str.translate``) — an INJECTIVE
-  char map, so shingle equality (and therefore MinHash/Jaccard
-  structure) is preserved exactly WITHIN a replica while cross-replica
-  overlap collapses to punctuation/whitespace.  Work density per row
-  matches sf0.1; total rows are 5×.
-- embeddings.parquet: 5 replicas with offset vec_ids (PQ/ANN cost is
-  corpus-size-driven; duplicate vectors only create score ties, which
-  a throughput ladder doesn't care about).
-
-Runs each ladder query at sf0.1 and at the sf0.5 twin in FRESH 32-cpu
-Ray subprocesses, interleaved (A, B, A, B — the host-noise convention
-from BASELINE.md: sequential levels sample different noise windows),
-takes min-of-2 per level, and reports per-input-row throughput plus
-the per-row 5× degradation ratio (target ≤ ~1.3×).
+Runs each ladder query at sf0.1 and at sf0.5 in FRESH Ray subprocesses
+(one CPU per core this process may run on), interleaved (A, B, A, B —
+sequential levels sample different host-noise windows), takes min-of-2
+per level, and reports per-input-row throughput plus the per-row 5×
+degradation ratio (target ≤ ~1.3×).
 
 Usage:
     python scripts/scale_ladder.py                # full ladder
@@ -41,208 +30,25 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
 LADDER_DIR = "/tmp/ladder/sf0.5"
-REPLICAS = 5
-_ID_OFF = 10_000_000
 
-# query -> (input table kind, rows at sf0.1) ; tiles rows come from
-# universe_n so they're derived, not hardcoded
-LADDER = {
-    "phash_neardup": "tiles",
-    "image_thumbs": "tiles",
-    "curation_sweep": "tiles",
-    "neardup_clusters": "documents",
-    "ann_pq_topk": "embeddings",
-    # round-4 additions: the 4-level explode + high-cardinality agg
-    # (payload-free), and the distributed prefix sum over documents
-    "cell_pyramid": "tiles",
-    "shard_packing": "documents",
-    # histogram-threshold selection: rounds are corpus-size-independent
-    # (bounded 256-count partials), scans linear
-    "quality_topfrac": "documents",
-    "quality_topfrac_by_source": "documents",
-    # late round-4 heavies: the deletion-neighborhood join (pairs scale
-    # superlinearly with contiguous id runs — cross-replica distance-1
-    # pairs are real pairs, the ladder measures them honestly) and the
-    # k-core peel over 5 disjoint co-purchase graph replicas (same
-    # round count, 5x edges)
-    "id_edit1_pairs": "tiles",
-    "part_kcore": "lineitem",
-    # round-4 session-3 heavies: grid DBSCAN over the arithmetic tile
-    # universe (eps shrinks as 1/sqrt(n), so per-cell density — and the
-    # dense-block work per point — stays constant by construction), and
-    # the co-purchase cosine join over 5 disjoint basket-graph replicas
-    "tile_dbscan": "tiles",
-    "part_cosine_pairs": "lineitem",
-    # round-4 session-5: incremental dedup against the materialized
-    # band index (the Caesar replicas keep within-replica shingle
-    # structure, so delta x corpus candidate density per row matches
-    # sf0.1; trial0 pays the one-time index build, so the min-of-2
-    # lands on the warm-index run at BOTH levels — the steady-state
-    # maintenance cost the operator exists for)
-    "minhash_dedup_incr": "documents",
-    "minhash_dedup_lifecycle": "documents",
-    "ann_ivf_lifecycle": "embeddings",
-    # session-5: pairs + components + coalesce + hash split in one query
-    "leakage_safe_split": "documents",
-    # round-5 (r4 verdict #2): the two timing-flagged iterative/window
-    # shapes.  kmeans over 5x-replicated vectors follows the IDENTICAL
-    # centroid trajectory (sums and counts both scale 5x, means are
-    # unchanged) so per-round work is exactly 5x; percent_rank's
-    # event_type partitions grow 5x (offset ids, values verbatim).
-    "kmeans_embeddings": "embeddings",
-    "event_percent_rank": "events",
-    # round-5: cross-document duplicated-gram fraction.  Caesar
-    # replicas keep within-replica gram structure (each doc's dup
-    # partners are its own replica's), so gram rows, dup counts and
-    # per-row work all scale exactly 5x.
-    "dup_gram_frac": "documents",
-    # round-5: unigram-LM scoring.  Caesar replicas multiply the vocab
-    # ~5x (letters shift injectively) while per-doc token counts stay
-    # identical, so the count shuffle, broadcast table and scoring
-    # lookups all scale linearly with corpus size — the claim the
-    # ladder checks for a broadcast-fit operator.
-    "unigram_lm_nll": "documents",
-    # round-5: DSIR importance weighting.  Caesar replicas push the
-    # hashed-bucket support toward its 65,536 cap while `source` is
-    # kept verbatim, so the target slice grows 5x with the corpus —
-    # count shuffle, broadcast table and scoring lookups all scale
-    # linearly, the same broadcast-fit claim as the LM scorer with the
-    # broadcast additionally constant-capped by the hash width.
-    "dsir_weights": "documents",
-    # round-5: SemDeDup.  The 5x twin's replicas are EXACT duplicate
-    # vectors (offset ids), so every vector gains 4 cross-replica
-    # cos=1 partners — duplicate-group structure grows honestly with
-    # the corpus.  k derives from n (queries._semdedup_k: mean cluster
-    # pinned at 250 rows -> k=8 at sf0.1, k=40 at the twin) so the
-    # within-cluster exact all-pairs cost per row stays constant —
-    # the paper's own scaling regime, which is the claim to check.
-    "semdedup": "embeddings",
-    # round-5: county mosaic.  The 3M-tile universe is 5x denser on the
-    # same pixel domain, so overlap (the work the per-pixel max
-    # resolves) GROWS superlinearly while the scatter-max stays
-    # canvas-bounded per bucket — the honest stress for the
-    # owner-computes shuffle + canvas design.
-    "county_mosaic": "tiles",
-    # round-5: coverage depth — the no-decode extent shuffle + per-bucket
-    # difference arrays; 5x tiles → 5x rectangles on the same canvas area
-    "county_overlap_depth": "tiles",
-}
-
-
-def _caesar_table(r: int) -> dict[int, int]:
-    import string
-
-    t = {}
-    for alpha in (string.ascii_lowercase, string.ascii_uppercase):
-        for i, ch in enumerate(alpha):
-            t[ord(ch)] = ord(alpha[(i + r) % 26])
-    return t
-
-
-def build_twin(src_dir: str = "/root/testdata/sf0.1") -> str:
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    os.makedirs(LADDER_DIR, exist_ok=True)
-    # lineitem twin (late round-4 add): guarded by file existence so a
-    # twin built before this table existed gains it without a rebuild;
-    # replicas offset BOTH keys, so the co-purchase graphs are disjoint
-    li_path = os.path.join(LADDER_DIR, "lineitem.parquet")
-    if not os.path.exists(li_path):
-        li = pq.read_table(
-            os.path.join(src_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_partkey"],
-        )
-        li_parts = [
-            pa.table(
-                {
-                    "l_orderkey": pa.compute.add(li["l_orderkey"], r * _ID_OFF),
-                    "l_partkey": pa.compute.add(li["l_partkey"], r * _ID_OFF),
-                }
-            )
-            for r in range(REPLICAS)
-        ]
-        pq.write_table(pa.concat_tables(li_parts), li_path)
-    # events twin (round-5 add, same existence guard): replicas offset
-    # event_id + user_id; event_type and value are kept verbatim, so
-    # each PERCENT_RANK partition (event_type) is honestly 5x larger —
-    # exactly the partition-growth regime the value-range-bucketed
-    # window implementation claims to survive
-    ev_path = os.path.join(LADDER_DIR, "events.parquet")
-    if not os.path.exists(ev_path):
-        ev = pq.read_table(os.path.join(src_dir, "events.parquet"))
-        ev_parts = [
-            pa.table(
-                {
-                    "event_id": pa.compute.add(ev["event_id"], r * _ID_OFF),
-                    "ts": ev["ts"],
-                    "user_id": pa.compute.add(ev["user_id"], r * _ID_OFF),
-                    "event_type": ev["event_type"],
-                    "value": ev["value"],
-                    "props": ev["props"],
-                }
-            )
-            for r in range(REPLICAS)
-        ]
-        pq.write_table(pa.concat_tables(ev_parts), ev_path)
-    marker = os.path.join(LADDER_DIR, "_SUCCESS")
-    if os.path.exists(marker):
-        return LADDER_DIR
-
-    docs = pq.read_table(os.path.join(src_dir, "documents.parquet"))
-    parts = []
-    for r in range(REPLICAS):
-        ids = pa.compute.add(docs["doc_id"], r * _ID_OFF)
-        if r == 0:
-            texts = docs["text"]
-        else:
-            tab = _caesar_table(r)
-            texts = pa.array(
-                [t.translate(tab) for t in docs["text"].to_pylist()],
-                pa.string(),
-            )
-        parts.append(
-            pa.table(
-                {
-                    "doc_id": ids,
-                    "text": texts,
-                    "lang": docs["lang"],
-                    "source": docs["source"],
-                    "n_chars": docs["n_chars"],
-                }
-            )
-        )
-    pq.write_table(
-        pa.concat_tables(parts), os.path.join(LADDER_DIR, "documents.parquet")
-    )
-
-    emb = pq.read_table(os.path.join(src_dir, "embeddings.parquet"))
-    parts = []
-    for r in range(REPLICAS):
-        parts.append(
-            pa.table(
-                {
-                    "vec_id": pa.compute.add(emb["vec_id"], r * _ID_OFF),
-                    "embedding": emb["embedding"],
-                    "label": emb["label"],
-                }
-            )
-        )
-    pq.write_table(
-        pa.concat_tables(parts), os.path.join(LADDER_DIR, "embeddings.parquet")
-    )
-    open(marker, "w").write("ok")
-    return LADDER_DIR
-
-
-def _input_rows(kind: str, sf_dir: str) -> int:
-    import pyarrow.parquet as pq
-
-    from biomass_processing_pipeline_ray.pipelines.queries import universe_n
-
-    if kind == "tiles":
-        return universe_n(sf_dir)
-    return pq.read_metadata(os.path.join(sf_dir, f"{kind}.parquet")).num_rows
+LADDER = [
+    "phash_neardup",
+    "image_thumbs",
+    "curation_sweep",
+    # the 4-level explode + high-cardinality agg (payload-free)
+    "cell_pyramid",
+    # grid DBSCAN over the arithmetic tile universe (eps shrinks as
+    # 1/sqrt(n), so per-cell density — and the dense-block work per
+    # point — stays constant by construction)
+    "tile_dbscan",
+    # the 5x universe is 5x denser on the same pixel domain, so overlap
+    # (the work the per-pixel max resolves) GROWS superlinearly while
+    # the scatter-max stays canvas-bounded per bucket
+    "county_mosaic",
+    # the no-decode extent shuffle + per-bucket difference arrays; 5x
+    # tiles → 5x rectangles on the same canvas area
+    "county_overlap_depth",
+]
 
 
 def child(query: str, sf_dir: str) -> None:
@@ -250,7 +56,7 @@ def child(query: str, sf_dir: str) -> None:
 
     ray.init(
         address="local",
-        num_cpus=32,
+        num_cpus=len(os.sched_getaffinity(0)),
         include_dashboard=False,
         logging_level="ERROR",
     )
@@ -261,9 +67,8 @@ def child(query: str, sf_dir: str) -> None:
     tiles_path(sf_dir)  # fixture generation/caching excluded from timing
     fn = build_queries()[query][0]
     # time BUILD + CONSUME together: several pipelines run eager phases
-    # inside fn() itself (connected-components rounds, PQ training,
-    # prefix-sum and histogram-threshold passes) — timing only the
-    # final consume under-measures them
+    # inside fn() itself (connected-components rounds, canvas passes) —
+    # timing only the final consume under-measures them
     t0 = time.time()
     res = fn(sf_dir)
     n_out = res.count() if hasattr(res, "count") and not hasattr(res, "iloc") else len(res)
@@ -289,13 +94,12 @@ def run_child(query: str, sf_dir: str) -> dict:
 
 
 def main(names: list[str]) -> None:
-    build_twin()
+    from biomass_processing_pipeline_ray.pipelines.queries import universe_n
+
     small = "/root/testdata/sf0.1"
+    n_small, n_big = universe_n(small), universe_n(LADDER_DIR)
     results = {}
     for q in names:
-        kind = LADDER[q]
-        n_small = _input_rows(kind, small)
-        n_big = _input_rows(kind, LADDER_DIR)
         runs = {small: [], LADDER_DIR: []}
         for trial in range(2):  # interleaved A,B,A,B
             for sf in (small, LADDER_DIR):

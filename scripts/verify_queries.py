@@ -1,9 +1,10 @@
 """Local emulation of the driver's correctness gate.
 
-Runs every ``queries()`` entry at the given sf_dir, runs the matching
-``oracle_sql()`` in DuckDB over the same parquet tables, sorts columns
-by name and rows by all columns, and compares values exactly (floats
-bitwise; report max abs diff on mismatch).  Usage:
+Runs every registry entry at the given sf_dir, runs its DuckDB twin
+built for that sf_dir's universe, sorts columns by name and rows by all
+columns, and compares values exactly (floats bitwise; report max abs
+diff on mismatch).  ``tests/test_oracles.py`` runs the same comparison
+at sf0.001.  Usage:
 
     python scripts/verify_queries.py [sf_dir] [name ...]
 """
@@ -20,10 +21,6 @@ import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
-).split()
-
 
 def to_df(res) -> pd.DataFrame:
     import pandas
@@ -33,7 +30,12 @@ def to_df(res) -> pd.DataFrame:
         return res
     if isinstance(res, pa.Table):
         return res.to_pandas()
-    return res.to_pandas()  # ray Dataset
+    df = res.to_pandas()  # ray Dataset
+    if len(df) == 0 and res.schema() is not None:
+        # Dataset.to_pandas() drops the columns of a zero-row Dataset;
+        # its schema still carries them
+        return res.schema().base_schema.empty_table().to_pandas()
+    return df
 
 
 def canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -77,20 +79,18 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False, logging_level="ERROR")
 
-    import __ray_entry__ as E
+    from biomass_processing_pipeline_ray.pipelines.queries import (
+        build_queries,
+        ensure_generated_oracles,
+    )
 
-    qs, oracles = E.queries(), E.oracle_sql()
+    ensure_generated_oracles(sf_dir)
     con = duckdb.connect()
-    for t in TABLES:
-        con.sql(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
-
     failures = 0
-    for name, fn in qs.items():
+    for name, (fn, sql) in build_queries(sf_dir).items():
         if only and name not in only:
             continue
         t0 = time.time()
@@ -101,10 +101,7 @@ def main() -> int:
             failures += 1
             continue
         dt = time.time() - t0
-        if name not in oracles:
-            print(f"ok    {name}: rows={len(got)} ({dt:.1f}s, rows-only)")
-            continue
-        exp = con.sql(oracles[name]).df()
+        exp = con.sql(sql).df()
         problems = compare(name, got, exp)
         if problems:
             failures += 1

@@ -159,7 +159,7 @@ def test_mosaic_zonal_overlap_and_bucket_straddle(rd, ray_session):
     )
 
     got = (
-        mosaic_zonal(lambda: rd.from_arrow(tbl))
+        mosaic_zonal(rd.from_arrow(tbl))
         .to_pandas()
         .sort_values("county_fips")
         .reset_index(drop=True)
@@ -348,7 +348,7 @@ def test_mosaic_mean_vs_bruteforce(rd, ray_session):
     ids = np.asarray(sorted(pick), dtype=np.int64)
     tbl = gen_tiles_batch(ids)
     got = (
-        mosaic_mean_zonal(lambda: rd.from_arrow(tbl))
+        mosaic_mean_zonal(rd.from_arrow(tbl))
         .to_pandas()
         .sort_values("county_fips")
         .reset_index(drop=True)
@@ -409,38 +409,89 @@ def test_overlap_pairs_dense_window_and_negative_cells(rd, ray_session):
     """The per-cell sweep must be density-safe (more co-window tiles
     than any fixed offset cap) and the owner rule must survive
     negative extents (cells west/south of the domain).  Brute force
-    O(n²) over a crafted extent set via the pure bucket kernel +
-    assign/dedup pipeline driven end-to-end."""
-    import pandas as pd
+    O(n²) over a crafted 5-int extent table driven end-to-end through
+    the assign/exchange/sweep/dedup pipeline; a sparse table yields a
+    typed empty result."""
     import pyarrow as pa
 
-    from biomass_processing_pipeline_ray.sources.tiles import tile_dims
     from biomass_processing_pipeline_ray.stages.mosaic import (
-        tile_overlap_pairs,
-        tile_pixel_extent,
+        OVL_BUCKET,
+        extent_overlap_pairs,
     )
 
-    # find 200 ids whose extents we compute, then brute-force all pairs
-    ids = np.arange(0, 3000, dtype=np.int64)
-    w, h, _ = tile_dims(ids)
-    x0, x1, y0, y1 = tile_pixel_extent(ids, w, h)
-    exp = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if (
-                x0[j] <= x1[i]
-                and x0[i] <= x1[j]
-                and y0[j] <= y1[i]
-                and y0[i] <= y1[j]
-            ):
-                exp.add((int(ids[i]), int(ids[j])))
+    rng = np.random.default_rng(11)
+    # 100 near-coincident footprints inside one cell: every pair
+    # overlaps, so x-sorted partners sit up to 99 offsets apart
+    n_dense, n_scatter = 100, 400
+    x0 = np.concatenate(
+        [100 + rng.integers(0, 8, n_dense), rng.integers(-80, 1100, n_scatter)]
+    )
+    y0 = np.concatenate(
+        [100 + rng.integers(0, 8, n_dense), rng.integers(-80, 1100, n_scatter)]
+    )
+    n = len(x0)
+    x1 = x0 + rng.integers(8, 65, n) - 1
+    y1 = y0 + rng.integers(8, 65, n) - 1
+    tid = rng.permutation(n).astype(np.int64) * 7 + 3
+
+    hit = (
+        (x0[None, :] <= x1[:, None])
+        & (x0[:, None] <= x1[None, :])
+        & (y0[None, :] <= y1[:, None])
+        & (y0[:, None] <= y1[None, :])
+    )
+    exp = {}
+    for i, j in zip(*np.nonzero(np.triu(hit, k=1))):
+        a, b = sorted((int(tid[i]), int(tid[j])))
+        ox = min(x1[i], x1[j]) - max(x0[i], x0[j]) + 1
+        oy = min(y1[i], y1[j]) - max(y0[i], y0[j]) + 1
+        owner = (max(x0[i], x0[j]) // OVL_BUCKET, max(y0[i], y0[j]) // OVL_BUCKET)
+        exp[(a, b)] = (int(ox * oy), owner)
+    dense = set(tid[:n_dense].tolist())
+    assert sum(a in dense and b in dense for a, b in exp) == n_dense * (n_dense - 1) // 2
+    assert any(min(owner) < 0 for _, owner in exp.values())
+
     tbl = pa.table(
         {
-            "image_id": pa.array([f"img{i:012d}" for i in ids], pa.string()),
-            "w": pa.array(w, pa.int32()),
-            "h": pa.array(h, pa.int32()),
+            "tid": pa.array(tid),
+            "x0": pa.array(x0, pa.int64()),
+            "x1": pa.array(x1, pa.int64()),
+            "y0": pa.array(y0, pa.int64()),
+            "y1": pa.array(y1, pa.int64()),
         }
     )
-    got = tile_overlap_pairs(rd.from_arrow(tbl)).to_pandas()
-    assert set(zip(got["a"], got["b"])) == exp
+    got = extent_overlap_pairs(rd.from_arrow(tbl)).to_pandas()
     assert got[["a", "b"]].duplicated().sum() == 0  # owner dedup exact
+    assert dict(zip(zip(got["a"], got["b"]), got["shared_px"])) == {
+        k: v[0] for k, v in exp.items()
+    }
+
+    far = tbl.take([int(np.argmin(x0 + y0)), int(np.argmax(x0 + y0))])
+    for sparse in (far, tbl.slice(0, 0)):
+        empty = extent_overlap_pairs(rd.from_arrow(sparse))
+        assert empty.count() == 0
+        assert empty.schema().names == ["a", "b", "ox_px", "oy_px", "shared_px"]
+
+
+def test_mosaic_kernels_leave_global_context(rd, ray_session):
+    """The mosaic kernels put the push-based shuffle on their input's
+    own DataContext: the exchange runs push-based (its SortMerge stage
+    shows in the stats) and the process-global context that later
+    queries inherit is left as it was."""
+    from ray.data import DataContext
+
+    from biomass_processing_pipeline_ray.sources.tiles import gen_tiles_batch
+    from biomass_processing_pipeline_ray.stages.mosaic import (
+        mosaic_mean_zonal,
+        mosaic_sweep_zonal,
+        mosaic_zonal,
+    )
+
+    tbl = gen_tiles_batch(np.arange(64, dtype=np.int64))
+    ctx = DataContext.get_current()
+    before = ctx.use_push_based_shuffle
+    for kernel in (mosaic_zonal, mosaic_mean_zonal, mosaic_sweep_zonal):
+        out = kernel(rd.from_arrow(tbl)).materialize()
+        assert DataContext.get_current() is ctx
+        assert ctx.use_push_based_shuffle == before
+        assert "SortMerge" in out.stats()

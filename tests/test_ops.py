@@ -1558,53 +1558,6 @@ def test_pq_topk_partition_invariant_and_sane(rd, ray_session):
     assert ex_same >= 72
 
 
-def test_table_diff_prunes_and_matches_bruteforce(rd, ray_session):
-    """table_diff finds exactly the planted added/removed/changed keys,
-    and the signature pass prunes every clean bucket (dirty_buckets
-    returns only ranges that actually contain churn)."""
-    import pyarrow as pa
-
-    from biomass_processing_pipeline_ray.stages.tablediff import (
-        dirty_buckets,
-        table_diff,
-    )
-
-    n = 5000
-    rng = np.random.default_rng(41)
-    keys = np.arange(n, dtype=np.int64)
-    vals = rng.uniform(0, 1000, n)
-    # churn localized in keys [1000, 1060): 20 added, 20 removed, 20 changed
-    added = keys[1000:1020]
-    removed = keys[1020:1040]
-    changed = keys[1040:1060]
-    a_mask = ~np.isin(keys, removed)
-    b_mask = ~np.isin(keys, added)
-    vb = vals.copy()
-    vb[changed] += 1.0
-    ta = pa.table({"k": pa.array(keys[a_mask]), "v": pa.array(vals[a_mask])})
-    tb = pa.table({"k": pa.array(keys[b_mask]), "v": pa.array(vb[b_mask])})
-    da, db = rd.from_arrow(ta), rd.from_arrow(tb)
-
-    dirty = dirty_buckets(da, db, "k", "v", shift=8)
-    churned = np.unique(np.concatenate([added, removed, changed]) >> 8)
-    assert set(dirty) == {int(b) for b in churned}  # clean buckets pruned
-
-    out = (
-        table_diff(da, db, "k", "v", shift=8)
-        .to_pandas()
-        .sort_values("key")
-        .reset_index(drop=True)
-    )
-    exp = pd.DataFrame(
-        {
-            "key": np.concatenate([added, removed, changed]),
-            "change": ["added"] * 20 + ["removed"] * 20 + ["changed"] * 20,
-        }
-    ).sort_values("key").reset_index(drop=True)
-    assert (out["key"].to_numpy() == exp["key"].to_numpy()).all()
-    assert (out["change"].to_numpy() == exp["change"].to_numpy()).all()
-
-
 def test_incremental_merge_equals_oneshot(rd, ray_session, tmp_path):
     """Persisted base state + delta partials == one-shot aggregate over
     the whole input, bit-for-bit; a rerun reuses the _SUCCESS state."""
@@ -3030,52 +2983,6 @@ def test_part_cosine_pairs_matches_pandas(ray_session):
     assert ((got["cosine"] > 0) & (got["cosine"] <= 1.0)).all()
 
 
-def test_embedding_pca_matches_float_pca(ray_session):
-    """embedding_pca == plain float64 np.cov+eigh PCA up to the 2^-20
-    quantization error: per-component projections match (up to the
-    deterministic sign rule), means are ~0, and component variances
-    descend."""
-    import pyarrow.parquet as pq
-
-    from biomass_processing_pipeline_ray.pipelines.queries import (
-        PCA_K,
-        q_embedding_pca,
-    )
-
-    got = (
-        q_embedding_pca("/root/testdata/sf0.001")
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-
-    t = pq.read_table(
-        "/root/testdata/sf0.001/embeddings.parquet",
-        columns=["vec_id", "embedding"],
-    )
-    ids = t["vec_id"].to_numpy().astype(np.int64)
-    order = np.argsort(ids, kind="stable")
-    emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[order]
-    cov = np.cov(emb, rowvar=False, bias=True)
-    w, v = np.linalg.eigh(cov)
-    top = np.argsort(w)[::-1][:PCA_K]
-    proj = (emb - emb.mean(axis=0)) @ v[:, top]
-
-    assert len(got) == len(ids)
-    assert (got["vec_id"].to_numpy() == np.sort(ids)).all()
-    var_prev = np.inf
-    for c in range(PCA_K):
-        g = got[f"pc{c + 1}"].to_numpy()
-        e = proj[:, c]
-        # sign rule may differ from eigh's arbitrary orientation
-        err = min(np.abs(g - e).max(), np.abs(g + e).max())
-        assert err < 1e-4, (c, err)
-        assert abs(g.mean()) < 1e-4
-        var = g.var()
-        assert var <= var_prev + 1e-9
-        var_prev = var
-
-
 def test_dbscan_matches_bruteforce(rd, ray_session):
     """Grid-bucketed distributed DBSCAN == brute-force union-find
     DBSCAN with the same deterministic rules (min-id cluster labels,
@@ -3650,37 +3557,6 @@ def test_semdedup_flags_vs_bruteforce(rd, ray_session):
     # every group keeps exactly one row
     per_grp = got.groupby("grp")["keep"].sum()
     assert (per_grp == 1).all()
-
-
-def test_fps_select_invariants_and_exhaustion(rd, ray_session):
-    """FPS: rank 0 = lowest vec_id; picks distinct; coverage radius
-    (sim_at_pick) non-decreasing once real folds start; k = n selects
-    every point exactly once (chosen-exclusion keeps the loop total
-    even when duplicates reach maxsim == self-sim)."""
-    from biomass_processing_pipeline_ray.stages.fps import fps_select
-
-    rng = np.random.default_rng(3)
-    n, d = 12, 8
-    mat = rng.normal(size=(n, d))
-    mat[5] = mat[2]  # exact duplicate pair
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(np.arange(100, 100 + n, dtype=np.int64)),
-            "embedding": pa.array([r.tolist() for r in mat],
-                                  pa.list_(pa.float64())),
-        }
-    )
-    out = fps_select(rd.from_arrow(tbl), k=n).to_pandas()
-    assert out["rank"].tolist() == list(range(n))
-    assert out["vec_id"].iloc[0] == 100
-    assert out["vec_id"].is_unique and set(out["vec_id"]) == set(range(100, 100 + n))
-    sims = out["sim_at_pick"].to_numpy()
-    assert sims[0] == -2.0
-    assert (np.diff(sims[1:]) >= -1e-12).all()  # non-decreasing radius
-    # the duplicate is picked LAST (its maxsim hits ~1.0 once its twin
-    # is chosen, the worst coverage gain)
-    assert out["vec_id"].iloc[-1] in (102, 105)
-    assert sims[-1] > 0.999
 
 
 def test_ann_pq_rerank_invariants(ray_session):
