@@ -20,17 +20,16 @@ SURVEY.md §3.2), restructured for a streaming engine:
 3. **Zonal aggregation** either as the no-shuffle partial-combine path
    (bench/queries) or as the checkpointed path: salted
    ``(county_fips, salt)`` groups each writing an atomic partition +
-   lineage record (north-rule skew key; a hot county becomes n_salts
-   parallel tasks).
+   lineage record through the one sink, ``state.ckptwrite`` (north-rule
+   skew key; a hot county becomes n_salts parallel tasks).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import georef as G
 from ..sources.counties import rect_counties
@@ -41,6 +40,7 @@ from ..stages.knn_stitch import KNNStitcher, centroid_sidecar
 from ..stages.pip_join import PIPJoiner
 from ..stages.zonal import zonal_aggregate
 from ..state.checkpoint import CheckpointStore
+from ..state.ckptwrite import checkpointed_partition_write, partition_id
 
 
 def _georef_pip_stage(batch: pa.Table) -> pa.Table:
@@ -74,7 +74,6 @@ class TileGeoStage:
         k: int = 8,
         hex_res: int = 7,
         s2_level: int = 13,
-        skip_counties: frozenset | None = None,
         skip_partitions: frozenset | None = None,
         n_salts: int = 1,
         emit_clip: bool = False,
@@ -92,7 +91,6 @@ class TileGeoStage:
             else None
         )
         self.cells = CellEncoder(hex_res, s2_level) if encode_cells else None
-        self.skip = sorted(skip_counties) if skip_counties else None
         self.skip_parts = sorted(skip_partitions) if skip_partitions else None
         self.n_salts = max(1, int(n_salts))
         if emit_clip:
@@ -107,26 +105,16 @@ class TileGeoStage:
             self.clip_ctx = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         batch = _georef_pip_stage(batch)
         batch = self.pip(batch)
         # salt: deterministic sub-partition key defusing county-size skew
         # (north rule): a hot county becomes n_salts parallel groups
         salt = batch["tile_int_id"].to_numpy() % self.n_salts
         batch = batch.append_column("salt", pa.array(salt, pa.int64()))
-        if self.skip:
-            batch = batch.filter(
-                pc.invert(pc.is_in(batch["county_fips"], pa.array(self.skip)))
-            )
         if self.skip_parts:
-            key = pc.binary_join_element_wise(
-                batch["county_fips"],
-                pc.cast(batch["salt"], pa.string()),
-                "|",
-            )
+            part = partition_id(batch["county_fips"], batch["salt"])
             batch = batch.filter(
-                pc.invert(pc.is_in(key, pa.array(self.skip_parts)))
+                pc.invert(pc.is_in(part, pa.array(self.skip_parts)))
             )
         batch = decode_batch(
             batch,
@@ -177,10 +165,8 @@ def build_assignments(
     hex_res: int = 7,
     s2_level: int = 13,
     concurrency=None,
-    skip_counties: set[str] | None = None,
     skip_partitions: set[str] | None = None,
     n_salts: int = 1,
-    fused_read: bool = True,
     emit_clip: bool = False,
     emit_grad: bool = False,
     emit_thumb: bool = False,
@@ -190,10 +176,11 @@ def build_assignments(
     """Dataset of per-tile join-output rows (the reference's J1+J2+G3/G4).
 
     ``tiles`` is a Dataset or a path.  ``n_tiles`` sizes the broadcast
-    kNN sidecar (derived arithmetically — no data pass needed).  A path
-    input uses the fused-read stage by default (see
-    :class:`TileGeoStageFused`); pass ``fused_read=False`` to go through
-    ``ray.data.read_parquet`` instead.
+    kNN sidecar (derived arithmetically — no data pass needed).  A
+    parquet directory goes through the fused-read stage (see
+    :class:`TileGeoStageFused`); a Dataset or any other path through
+    ``read_tiles``.  ``skip_partitions``: ids of completed partitions
+    (``state.ckptwrite.partition_id``), filtered out before decode.
     """
     import os
 
@@ -201,7 +188,7 @@ def build_assignments(
 
     paths: list[str] | None = None
     if isinstance(tiles, str):
-        if fused_read and os.path.isdir(tiles) and not tiles.endswith(".lance"):
+        if os.path.isdir(tiles) and not tiles.endswith(".lance"):
             paths = _parquet_files(tiles)
         if paths is None:
             tiles = read_tiles(tiles)
@@ -241,7 +228,6 @@ def build_assignments(
         "k": k,
         "hex_res": hex_res,
         "s2_level": s2_level,
-        "skip_counties": frozenset(skip_counties) if skip_counties else None,
         "skip_partitions": (
             frozenset(skip_partitions) if skip_partitions else None
         ),
@@ -277,7 +263,8 @@ def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, *
     Corrupt tiles (``shape_ok == False``, NaN ndvi/biomass from decode
     error-isolation) are filtered BEFORE aggregation so a single bad
     payload cannot NaN-poison its county's sums; ``tile_count`` counts
-    valid tiles only — the same contract as the checkpointed path.
+    valid tiles only.  Tiles outside every county (``county_fips ==
+    ""``) are dropped too — the same contract as the checkpointed path.
 
     ``snap_sums=True`` quantizes ndvi/biomass to the 2^-20 lattice so
     parallel partial sums equal a sequential oracle sum bit-wise (the
@@ -288,8 +275,10 @@ def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, *
     ds = build_assignments(tiles, counties, n_tiles, **kw)
 
     def valid_rows(b: pa.Table) -> pa.Table:
+        keep = pc.not_equal(b["county_fips"], "")
         if "shape_ok" in b.column_names:
-            b = b.filter(b["shape_ok"])
+            keep = pc.and_(keep, b["shape_ok"])
+        b = b.filter(keep)
         if snap_sums:
             for col in ("biomass", "ndvi"):
                 idx = b.column_names.index(col)
@@ -300,6 +289,19 @@ def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, *
 
     ds = ds.map_batches(valid_rows, batch_format="pyarrow")
     return zonal_aggregate(ds, sum_cols=("biomass", "ndvi"))
+
+
+def _zonal_summary(t: pa.Table) -> dict:
+    """One partition's checkpointed zonal sums.  Corrupt tiles (decode
+    error-isolation → ``shape_ok=False``, NaN scalars) are archived in
+    the partition parquet but excluded here: counts AND sums cover
+    valid tiles only, as on the fast path.  Sums are unsnapped."""
+    ok = t["shape_ok"].to_numpy()
+    return {
+        "tile_count": int(ok.sum()),
+        "biomass_sum": float(t["biomass"].to_numpy()[ok].sum()),
+        "ndvi_sum": float(t["ndvi"].to_numpy()[ok].sum()),
+    }
 
 
 def biomass_zonal_checkpointed(
@@ -323,99 +325,12 @@ def biomass_zonal_checkpointed(
     sub-partitions and the final frame is identical to an uninterrupted
     run (FIXTURES.md §5; kill test in tests/test_kill_resume.py).
     """
-    store = CheckpointStore(out_dir)
-    done = store.completed() if resume else set()
-    skip_pairs = {p.replace("_s", "|", 1) for p in done} if done else None
+    done = CheckpointStore(out_dir).completed() if resume else None
     ds = build_assignments(
-        tiles, counties, n_tiles, skip_partitions=skip_pairs,
-        n_salts=n_salts, **kw
+        tiles, counties, n_tiles, skip_partitions=done, n_salts=n_salts, **kw
     )
-
-    def _summary_table(rows: list[dict]) -> pa.Table:
-        # typed Arrow in both branches (dedup.py coarse_pairs pattern):
-        # empty pandas blocks with object columns trip Ray's sampling
-        # size-estimator and log schema-divergence warnings
-        return pa.table(
-            {
-                "county_fips": pa.array(
-                    [r["county_fips"] for r in rows], pa.string()
-                ),
-                "salt": pa.array([r["salt"] for r in rows], pa.int64()),
-                "tile_count": pa.array(
-                    [r["tile_count"] for r in rows], pa.int64()
-                ),
-                "biomass_sum": pa.array(
-                    [r["biomass_sum"] for r in rows], pa.float64()
-                ),
-                "ndvi_sum": pa.array(
-                    [r["ndvi_sum"] for r in rows], pa.float64()
-                ),
-            }
-        )
-
-    def write_subpart(group: pd.DataFrame) -> pa.Table:
-        fips = str(group["county_fips"].iloc[0])
-        salt = int(group["salt"].iloc[0])
-        if fips == "":
-            return _summary_table([])
-        t0 = time.time()
-        group = group.sort_values("image_id")
-        tbl = pa.Table.from_pandas(group, preserve_index=False)
-        # corrupt tiles (decode error-isolation → shape_ok=False, NaN
-        # scalars) are archived in the partition parquet but excluded
-        # from the summary: counts AND sums cover valid tiles only, so
-        # this path agrees with the fast path's pre-aggregation filter
-        valid = (
-            group["shape_ok"].to_numpy()
-            if "shape_ok" in group.columns
-            else np.ones(len(group), dtype=bool)
-        )
-        summary = {
-            "county_fips": fips,
-            "salt": salt,
-            "tile_count": int(valid.sum()),
-            "biomass_sum": float(group["biomass"].to_numpy()[valid].sum()),
-            "ndvi_sum": float(group["ndvi"].to_numpy()[valid].sum()),
-        }
-        store.write_partition(
-            f"{fips}_s{salt}",
-            tbl,
-            {
-                "rows": int(len(group)),
-                "summary": summary,
-                "metrics": {"write_sec": time.time() - t0},
-                "stage": "zonal_write",
-            },
-            subdir=fips,
-            filename=f"part-{salt}.parquet",
-        )
-        return _summary_table([summary])
-
-    fresh = (
-        ds.groupby(["county_fips", "salt"])
-        .map_groups(write_subpart, batch_format="pandas")
-        .to_pandas()
-    )
-    # recover sub-summaries of partitions completed in a previous run
-    recovered = []
-    for part in sorted(done):
-        rec = store.lineage(part)
-        if rec and "summary" in rec:
-            recovered.append(rec["summary"])
-    subs = (
-        pd.concat([fresh, pd.DataFrame(recovered)], ignore_index=True)
-        if recovered
-        else fresh
-    )
-    # deterministic merge order (county, salt) so full == resumed bit-wise
-    subs = subs.sort_values(["county_fips", "salt"])
-    out = subs.groupby("county_fips", as_index=False).agg(
-        tile_count=("tile_count", "sum"),
-        biomass_sum=("biomass_sum", "sum"),
-        ndvi_sum=("ndvi_sum", "sum"),
+    out = checkpointed_partition_write(
+        ds, out_dir, "county_fips", _zonal_summary, ["image_id"], resume
     )
     out["ndvi_mean"] = out["ndvi_sum"] / out["tile_count"]
-    out = out.drop(columns=["ndvi_sum"])
-    out = out.sort_values("county_fips").reset_index(drop=True)
-    store.finalize_manifest()
-    return out
+    return out.drop(columns=["ndvi_sum"])

@@ -1827,6 +1827,7 @@ def q_curation_sweep(sf_dir: str):
 
     from ..stages.zonal import combine_partials
     from .biomass import build_assignments
+    from .sweep import SUM_COLS, curation_finalize, curation_partial
 
     n = universe_n(sf_dir)
     per_tile = build_assignments(
@@ -1839,68 +1840,12 @@ def q_curation_sweep(sf_dir: str):
         stitch_knn=False,
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        ok = b["shape_ok"].to_numpy(zero_copy_only=False)
-        fips = np.asarray(b["county_fips"].to_pylist(), dtype=object).astype(str)
-        uniq, inv = np.unique(fips, return_inverse=True)
-        m = len(uniq)
-        clip_ok = ok & b["clip_ok"].to_numpy(zero_copy_only=False)
-
-        def fsum(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-            return np.bincount(inv[mask], weights=vals[mask], minlength=m)
-
-        def isum(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-            acc = np.zeros(m, dtype=np.int64)
-            np.add.at(acc, inv[mask], vals[mask])
-            return acc
-
-        tm = snap_binary(round_away(b["thumb_mean"].to_numpy(), 6))
-        ph16 = b["thumb_phash"].to_numpy() & np.int64(0xFFFF)
-        return pa.table(
-            {
-                "county_fips": pa.array(uniq, pa.string()),
-                "tile_count": pa.array(isum(np.ones(len(b), np.int64), ok)),
-                "biomass_sum": pa.array(fsum(snap_binary(b["biomass"].to_numpy()), ok)),
-                "ndvi_sum": pa.array(fsum(snap_binary(b["ndvi"].to_numpy()), ok)),
-                "px_total": pa.array(isum(b["n_px"].to_numpy(), clip_ok)),
-                "px_in": pa.array(isum(b["n_in"].to_numpy(), clip_ok)),
-                "val_sum": pa.array(fsum(snap_binary(b["val_sum"].to_numpy()), clip_ok)),
-                "grad_sum": pa.array(isum(b["grad"].to_numpy(), ok)),
-                "thumb_mean_sum": pa.array(fsum(tm, ok)),
-                "thumb_ph16_sum": pa.array(isum(ph16, ok)),
-            }
-        )
-
-    sums = [
-        "tile_count", "biomass_sum", "ndvi_sum", "px_total", "px_in",
-        "val_sum", "grad_sum", "thumb_mean_sum", "thumb_ph16_sum",
-    ]
     merged = combine_partials(
-        per_tile.map_batches(partial, batch_format="pyarrow"),
+        per_tile.map_batches(curation_partial, batch_format="pyarrow"),
         "county_fips",
-        [Sum(c, alias_name=c) for c in sums],
+        [Sum(c, alias_name=c) for c in SUM_COLS],
     )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        cnt = b["tile_count"].to_numpy().astype(np.float64)
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "tile_count": b["tile_count"],
-                "biomass_sum": pa.array(round_away(b["biomass_sum"].to_numpy(), 4)),
-                "ndvi_mean": pa.array(round_away(b["ndvi_sum"].to_numpy() / cnt, 4)),
-                "px_total": b["px_total"],
-                "px_in": b["px_in"],
-                "val_sum": pa.array(round_away(b["val_sum"].to_numpy(), 6)),
-                "grad_sum": b["grad_sum"],
-                "thumb_mean_sum": pa.array(
-                    round_away(b["thumb_mean_sum"].to_numpy(), 6)
-                ),
-                "thumb_ph16_sum": b["thumb_ph16_sum"],
-            }
-        )
-
-    return merged.map_batches(finalize, batch_format="pyarrow")
+    return merged.map_batches(curation_finalize, batch_format="pyarrow")
 
 
 def _sql_curation_sweep(n: int) -> str:

@@ -4,52 +4,100 @@ single-decode pipeline (``queries.curation_sweep``).
 ONE entropy decode of every payload produces all curation products
 (zonal ndvi/biomass, polygon-clip pixel stats, integer gradient energy,
 thumbnail stats), written as salted per-county parquet partitions with
-per-partition lineage records — the same checkpoint contract as the
-headline (``biomass.biomass_zonal_checkpointed``, reference parity:
+per-partition lineage records through the checkpointed sink
+(``state.ckptwrite``, reference parity:
 ``src/core/checkpoint_manager_v1.py``): a mid-run kill recomputes only
 missing (county, salt) sub-partitions and the merged frame is identical
 to an uninterrupted run.  At 100 TB this is THE curation job shape —
 decode once, fan every product out of that pass, resume by partition.
+
+The per-county products are defined once, here: :func:`curation_sums`
+sums a batch per county and :func:`curation_finalize` rounds the merged
+sums.  Each checkpointed partition is summed with ``curation_sums``;
+the fast registry path (``queries.q_curation_sweep``) combines the
+``curation_partial`` of each of its batches.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.rounding import round_away, snap_binary
 from ..state.checkpoint import CheckpointStore
+from ..state.ckptwrite import checkpointed_partition_write
 from .biomass import build_assignments
 
-_SUM_COLS = (
+SUM_COLS = (
     "tile_count", "biomass_sum", "ndvi_sum", "px_total", "px_in",
     "val_sum", "grad_sum", "thumb_mean_sum", "thumb_ph16_sum",
 )
 
 
-def _group_summary(group: pd.DataFrame) -> dict:
-    ok = (
-        group["shape_ok"].to_numpy()
-        if "shape_ok" in group.columns
-        else np.ones(len(group), dtype=bool)
+def curation_sums(b: pa.Table) -> pa.Table:
+    """Per-county curation sums of a batch of decoded tiles, one row per
+    ``county_fips`` in it.  Corrupt tiles (``shape_ok == False``) count
+    nowhere.  Float sums are of lattice-snapped values, so any split of
+    the tiles into batches sums to the same bits."""
+    ok = b["shape_ok"].to_numpy(zero_copy_only=False)
+    fips = np.asarray(b["county_fips"].to_pylist(), dtype=object).astype(str)
+    uniq, inv = np.unique(fips, return_inverse=True)
+    m = len(uniq)
+    clip_ok = ok & b["clip_ok"].to_numpy(zero_copy_only=False)
+
+    def fsum(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return np.bincount(inv[mask], weights=vals[mask], minlength=m)
+
+    def isum(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        acc = np.zeros(m, dtype=np.int64)
+        np.add.at(acc, inv[mask], vals[mask])
+        return acc
+
+    tm = snap_binary(round_away(b["thumb_mean"].to_numpy(), 6))
+    ph16 = b["thumb_phash"].to_numpy() & np.int64(0xFFFF)
+    return pa.table(
+        {
+            "county_fips": pa.array(uniq, pa.string()),
+            "tile_count": pa.array(isum(np.ones(len(b), np.int64), ok)),
+            "biomass_sum": pa.array(fsum(snap_binary(b["biomass"].to_numpy()), ok)),
+            "ndvi_sum": pa.array(fsum(snap_binary(b["ndvi"].to_numpy()), ok)),
+            "px_total": pa.array(isum(b["n_px"].to_numpy(), clip_ok)),
+            "px_in": pa.array(isum(b["n_in"].to_numpy(), clip_ok)),
+            "val_sum": pa.array(fsum(snap_binary(b["val_sum"].to_numpy()), clip_ok)),
+            "grad_sum": pa.array(isum(b["grad"].to_numpy(), ok)),
+            "thumb_mean_sum": pa.array(fsum(tm, ok)),
+            "thumb_ph16_sum": pa.array(isum(ph16, ok)),
+        }
     )
-    clip_ok = ok & group["clip_ok"].to_numpy()
-    tm = snap_binary(round_away(group["thumb_mean"].to_numpy(), 6))
-    ph16 = group["thumb_phash"].to_numpy() & np.int64(0xFFFF)
-    return {
-        "tile_count": int(ok.sum()),
-        "biomass_sum": float(snap_binary(group["biomass"].to_numpy())[ok].sum()),
-        "ndvi_sum": float(snap_binary(group["ndvi"].to_numpy())[ok].sum()),
-        "px_total": int(group["n_px"].to_numpy()[clip_ok].sum()),
-        "px_in": int(group["n_in"].to_numpy()[clip_ok].sum()),
-        "val_sum": float(snap_binary(group["val_sum"].to_numpy())[clip_ok].sum()),
-        "grad_sum": int(group["grad"].to_numpy()[ok].sum()),
-        "thumb_mean_sum": float(tm[ok].sum()),
-        "thumb_ph16_sum": int(ph16[ok].sum()),
-    }
+
+
+def curation_partial(b: pa.Table) -> pa.Table:
+    """Fast-path partial: :func:`curation_sums` of the tiles that fall
+    in a county (``county_fips != ""``), as on the checkpointed path."""
+    return curation_sums(b.filter(pc.not_equal(b["county_fips"], "")))
+
+
+def curation_finalize(b: pa.Table) -> pa.Table:
+    """Merged per-county sums → the ``curation_sweep`` column contract."""
+    cnt = b["tile_count"].to_numpy().astype(np.float64)
+    return pa.table(
+        {
+            "county_fips": b["county_fips"],
+            "tile_count": b["tile_count"],
+            "biomass_sum": pa.array(round_away(b["biomass_sum"].to_numpy(), 4)),
+            "ndvi_mean": pa.array(round_away(b["ndvi_sum"].to_numpy() / cnt, 4)),
+            "px_total": b["px_total"],
+            "px_in": b["px_in"],
+            "val_sum": pa.array(round_away(b["val_sum"].to_numpy(), 6)),
+            "grad_sum": b["grad_sum"],
+            "thumb_mean_sum": pa.array(
+                round_away(b["thumb_mean_sum"].to_numpy(), 6)
+            ),
+            "thumb_ph16_sum": b["thumb_ph16_sum"],
+        }
+    )
 
 
 def curation_sweep_checkpointed(
@@ -69,13 +117,11 @@ def curation_sweep_checkpointed(
     recovered + fresh sub-partition summaries is order-free and a
     resumed run reproduces the uninterrupted frame bit-for-bit.
     """
-    store = CheckpointStore(out_dir)
-    done = store.completed() if resume else set()
-    skip_pairs = {p.replace("_s", "|", 1) for p in done} if done else None
+    done = CheckpointStore(out_dir).completed() if resume else None
     ds = build_assignments(
         tiles,
         n_tiles=n_tiles,
-        skip_partitions=skip_pairs,
+        skip_partitions=done,
         n_salts=n_salts,
         emit_clip=True,
         emit_grad=True,
@@ -84,75 +130,12 @@ def curation_sweep_checkpointed(
         stitch_knn=False,
         **kw,
     )
-
-    def _summary_table(rows: list[dict]) -> pa.Table:
-        cols: dict = {
-            "county_fips": pa.array(
-                [r["county_fips"] for r in rows], pa.string()
-            ),
-            "salt": pa.array([r["salt"] for r in rows], pa.int64()),
-        }
-        for c in _SUM_COLS:
-            typ = pa.int64() if c in (
-                "tile_count", "px_total", "px_in", "grad_sum", "thumb_ph16_sum"
-            ) else pa.float64()
-            cols[c] = pa.array([r[c] for r in rows], typ)
-        return pa.table(cols)
-
-    def write_subpart(group: pd.DataFrame) -> pa.Table:
-        fips = str(group["county_fips"].iloc[0])
-        salt = int(group["salt"].iloc[0])
-        if fips == "":
-            return _summary_table([])
-        t0 = time.time()
-        group = group.sort_values("image_id")
-        tbl = pa.Table.from_pandas(group, preserve_index=False)
-        summary = {"county_fips": fips, "salt": salt, **_group_summary(group)}
-        store.write_partition(
-            f"{fips}_s{salt}",
-            tbl,
-            {
-                "rows": int(len(group)),
-                "summary": summary,
-                "metrics": {"write_sec": time.time() - t0},
-                "stage": "curation_sweep_write",
-            },
-            subdir=fips,
-            filename=f"part-{salt}.parquet",
-        )
-        return _summary_table([summary])
-
-    fresh = (
-        ds.groupby(["county_fips", "salt"])
-        .map_groups(write_subpart, batch_format="pandas")
-        .to_pandas()
+    sums = checkpointed_partition_write(
+        ds,
+        out_dir,
+        "county_fips",
+        lambda t: curation_sums(t).drop_columns(["county_fips"]).to_pylist()[0],
+        ["image_id"],
+        resume,
     )
-    recovered = []
-    for part in sorted(done):
-        rec = store.lineage(part)
-        if rec and "summary" in rec:
-            recovered.append(rec["summary"])
-    subs = (
-        pd.concat([fresh, pd.DataFrame(recovered)], ignore_index=True)
-        if recovered
-        else fresh
-    )
-    subs = subs.sort_values(["county_fips", "salt"]).reset_index(drop=True)
-    agg = subs.groupby("county_fips", as_index=False)[list(_SUM_COLS)].sum()
-    cnt = agg["tile_count"].to_numpy().astype(np.float64)
-    out = pd.DataFrame(
-        {
-            "county_fips": agg["county_fips"],
-            "tile_count": agg["tile_count"].astype(np.int64),
-            "biomass_sum": round_away(agg["biomass_sum"].to_numpy(), 4),
-            "ndvi_mean": round_away(agg["ndvi_sum"].to_numpy() / cnt, 4),
-            "px_total": agg["px_total"].astype(np.int64),
-            "px_in": agg["px_in"].astype(np.int64),
-            "val_sum": round_away(agg["val_sum"].to_numpy(), 6),
-            "grad_sum": agg["grad_sum"].astype(np.int64),
-            "thumb_mean_sum": round_away(agg["thumb_mean_sum"].to_numpy(), 6),
-            "thumb_ph16_sum": agg["thumb_ph16_sum"].astype(np.int64),
-        }
-    ).sort_values("county_fips").reset_index(drop=True)
-    store.finalize_manifest()
-    return out
+    return curation_finalize(pa.Table.from_pandas(sums, preserve_index=False)).to_pandas()

@@ -33,8 +33,8 @@ class CheckpointStore:
     def __init__(self, out_dir: str, key_name: str = "county_fips"):
         self.out_dir = out_dir
         # hive-style data-dir key (``<key_name>=<value>/``); the
-        # flagship's county layout is the default, generic callers
-        # (state/ckptwrite.py) pass their own partition key name
+        # county layout is the default; the sink (state/ckptwrite.py)
+        # passes its partition key name
         self.key_name = key_name
         self.lineage_dir = os.path.join(out_dir, "_lineage")
         os.makedirs(self.lineage_dir, exist_ok=True)
@@ -84,10 +84,17 @@ class CheckpointStore:
 
     # -- driver-side summary (never read by resume) --------------------------
 
-    def finalize_manifest(self) -> None:
+    def finalize_manifest(self, written: int, recovered: int) -> None:
+        """``written``/``recovered``: partitions this run wrote / took
+        from an earlier run's lineage."""
         self._atomic_write(
             self.manifest_path,
-            {"completed": sorted(self.completed()), "updated_at": time.time()},
+            {
+                "completed": sorted(self.completed()),
+                "written": written,
+                "recovered": recovered,
+                "updated_at": time.time(),
+            },
         )
 
     # -- partitioned data ----------------------------------------------------

@@ -1,139 +1,127 @@
-"""Generic checkpointed partition writer — resumable output for ANY
-Dataset, not just the biomass flagship.
+"""The checkpointed sink: salted per-key partition writes, lineage, resume.
 
-Generalizes the salted per-key write of
-``pipelines/biomass.biomass_zonal_checkpointed`` (reference analog: the
-``processing_checkpoints`` upsert+resume protocol,
-``database_manager_v3.py:529-614``) into a reusable operator:
+The one implementation of the resumable-output protocol (reference
+analog: the ``processing_checkpoints`` upsert+resume protocol,
+``database_manager_v3.py:529-614``).  ``biomass_zonal_checkpointed``,
+``curation_sweep_checkpointed`` and any other job write through it:
 
-    summary = checkpointed_partition_write(
-        ds, out_dir, key_cols=["event_type"], salt_col="salt",
-        summary_sums={"value_sum": "value"}, sort_by=["event_id"],
+    sums = checkpointed_partition_write(
+        ds, out_dir, key="county_fips", summarize=zonal_summary,
+        sort_by=["image_id"],
     )
 
-Contract (identical to the flagship's, kill-tested there and here):
+Contract (kill-tested in tests/test_kill_resume.py):
 
-- partition id = ``<key1>[_<key2>…]_s<salt>``; each partition writes an
-  idempotent parquet (``<key>=<v>/part-<salt>.parquet``) and then its
-  atomic lineage marker — markers are the resume source of truth.
-- a completed partition is SKIPPED on re-run (its summary row is
-  recovered from lineage), so re-running after a kill recomputes only
-  missing partitions and returns the identical summary frame.
-- ``completed_partitions(out_dir)`` lets callers ALSO push the skip
-  upstream (the flagship filters completed partitions before decode —
-  do the same when the partition key is derivable before the expensive
-  stage).
-- ``salt_col`` is the north-rule skew defuser: a hot key becomes
-  ``n_salts`` parallel groups.  The caller provides the column (e.g.
-  ``id % n_salts``) so the salt is deterministic under resume.
+- ``ds`` carries the ``key`` column and an integer ``salt`` column (the
+  north-rule skew defuser: a hot key becomes one group per salt; the
+  caller derives it deterministically, e.g. ``id % n_salts``, so the
+  salt is stable under resume).
+- partition id = :func:`partition_id` ``(key, salt)`` = ``<key>_s<salt>``;
+  each partition writes an idempotent parquet
+  (``<key>=<v>/part-<salt>.parquet``) and then its atomic lineage
+  marker holding the partition's summary — markers are the resume
+  source of truth.
+- a completed partition is SKIPPED on re-run and its summary recovered
+  from lineage, so re-running after a kill recomputes only missing
+  partitions and returns the identical frame.  Callers should ALSO
+  push the skip upstream with ``CheckpointStore(out_dir).completed()``
+  (the tile pipelines filter completed partitions before decode).
+- rows whose key is ``""`` (outside every zone) are never written.
+- ``_MANIFEST.json`` records how many partitions this run wrote and
+  how many it recovered.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .checkpoint import CheckpointStore
 
+# Arrow type of a summary value, by its Python type
+_ARROW = {str: pa.string(), int: pa.int64(), float: pa.float64(), bool: pa.bool_()}
 
-def partition_id(key_vals: list, salt: int) -> str:
-    return "_".join(str(v) for v in key_vals) + f"_s{int(salt)}"
 
-
-def completed_partitions(out_dir: str) -> set[str]:
-    """Completed partition ids (for upstream pre-filtering)."""
-    return CheckpointStore(out_dir).completed()
+def partition_id(key, salt):
+    """``<key>_s<salt>`` for one partition, or element-wise for Arrow
+    arrays (the pre-decode resume filter)."""
+    if isinstance(key, (pa.Array, pa.ChunkedArray)):
+        return pc.binary_join_element_wise(key, pc.cast(salt, pa.string()), "_s")
+    return f"{key}_s{int(salt)}"
 
 
 def checkpointed_partition_write(
     ds,
     out_dir: str,
-    key_cols: list[str],
-    salt_col: str | None = None,
-    summary_sums: dict[str, str] | None = None,
+    key: str,
+    summarize,
     sort_by: list[str] | None = None,
     resume: bool = True,
 ) -> pd.DataFrame:
-    """Write ``ds`` as salted per-key checkpointed partitions; return
-    the per-key summary frame (fresh + recovered), deterministic under
-    resume.
+    """Write ``ds`` as checkpointed ``(key, salt)`` partitions; return
+    the per-key sums of the partition summaries (fresh + recovered),
+    one row per key, sorted by key and deterministic under resume.
 
-    ``summary_sums``: output-name → source-column sums recorded in each
-    partition's lineage summary (plus ``row_count`` always).
-    ``sort_by``: within-partition deterministic order before writing.
+    ``summarize(table) -> dict``: a partition's sums as Python ``int`` /
+    ``float`` values (called on every ``(key, salt)`` group, also the
+    ones that are not written).  ``sort_by``: within-partition order
+    before writing.  Summary columns are int64 / float64 by the Python
+    type of each value.  When every row falls outside every zone the
+    frame has zero rows but the summary's columns and types; an input
+    with no rows at all leaves no group to summarize and raises
+    ``KeyError``.
     """
-    store = CheckpointStore(out_dir, key_name=key_cols[0])
+    store = CheckpointStore(out_dir, key_name=key)
     done = store.completed() if resume else set()
-    sums = summary_sums or {}
-    group_cols = list(key_cols) + ([salt_col] if salt_col else [])
 
-    def _summary_table(rows: list[dict]) -> pa.Table:
-        cols: dict = {}
-        for c in key_cols:
-            cols[c] = pa.array([str(r[c]) for r in rows], pa.string())
-        cols["salt"] = pa.array([r["salt"] for r in rows], pa.int64())
-        cols["row_count"] = pa.array([r["row_count"] for r in rows], pa.int64())
-        for out in sums:
-            cols[out] = pa.array([r[out] for r in rows], pa.float64())
-        return pa.table(cols)
-
-    def write_part(group: pd.DataFrame) -> pa.Table:
-        key_vals = [group[c].iloc[0] for c in key_cols]
-        salt = int(group[salt_col].iloc[0]) if salt_col else 0
-        part = partition_id(key_vals, salt)
-        if part in done:
-            # belt-and-braces: upstream pre-filtering should have
-            # removed completed partitions; idempotent either way
-            return _summary_table([])
+    def write_subpart(group: pd.DataFrame) -> pa.Table:
+        kval = str(group[key].iloc[0])
+        salt = int(group["salt"].iloc[0])
+        part = partition_id(kval, salt)
         t0 = time.time()
         if sort_by:
             group = group.sort_values(sort_by, kind="mergesort")
-        summary = {c: key_vals[i] for i, c in enumerate(key_cols)}
-        summary["salt"] = salt
-        summary["row_count"] = int(len(group))
-        for out, src in sums.items():
-            summary[out] = float(group[src].to_numpy().sum())
-        store.write_partition(
-            part,
-            pa.Table.from_pandas(group, preserve_index=False),
-            {
-                "rows": int(len(group)),
-                "summary": summary,
-                "metrics": {"write_sec": time.time() - t0},
-                "stage": "checkpointed_partition_write",
-            },
-            subdir=str(key_vals[0]),
-            filename=f"part-{salt}.parquet",
-        )
-        return _summary_table([summary])
+        tbl = pa.Table.from_pandas(group, preserve_index=False)
+        summary = {key: kval, "salt": salt, **summarize(tbl)}
+        # a group outside every zone, or one an earlier run completed
+        # (the upstream filter should have dropped it), is not written;
+        # its row still comes back, because to_pandas() drops the
+        # columns of a Dataset with no rows
+        written = kval != "" and part not in done
+        if written:
+            store.write_partition(
+                part,
+                tbl,
+                {
+                    "rows": tbl.num_rows,
+                    "summary": summary,
+                    "metrics": {"write_sec": time.time() - t0},
+                    "stage": "checkpointed_partition_write",
+                },
+                subdir=kval,
+                filename=f"part-{salt}.parquet",
+            )
+        row = {**summary, "written": written}
+        return pa.table({c: pa.array([v], _ARROW[type(v)]) for c, v in row.items()})
 
     fresh = (
-        ds.groupby(group_cols)
-        .map_groups(write_part, batch_format="pandas")
+        ds.groupby([key, "salt"])
+        .map_groups(write_subpart, batch_format="pandas")
         .to_pandas()
     )
-    recovered = []
-    for part in sorted(done):
-        rec = store.lineage(part)
-        if rec and "summary" in rec:
-            recovered.append(rec["summary"])
-    subs = (
-        pd.concat([fresh, pd.DataFrame(recovered)], ignore_index=True)
-        if recovered
-        else fresh
-    )
-    # deterministic merge order so full == resumed bit-wise
-    subs = subs.sort_values(list(key_cols) + ["salt"], kind="mergesort")
-    for c in key_cols:
-        subs[c] = subs[c].astype(str)
-    agg = {"row_count": ("row_count", "sum")}
-    for out in sums:
-        agg[out] = (out, "sum")
-    out = subs.groupby(list(key_cols), as_index=False).agg(**agg)
-    out["row_count"] = out["row_count"].astype(np.int64)
-    out = out.sort_values(list(key_cols)).reset_index(drop=True)
-    store.finalize_manifest()
+    if len(fresh):
+        fresh = fresh[fresh.pop("written")]
+    recs = [store.lineage(p) for p in sorted(done)]
+    recovered = pd.DataFrame([r["summary"] for r in recs if r and "summary" in r])
+    # an empty frame joins no concat: it has no columns, or dtypes that
+    # must not decide the merged ones
+    subs = pd.concat([f for f in (fresh, recovered) if len(f)] or [fresh])
+    # deterministic merge order (key, salt) so full == resumed bit-wise
+    subs = subs.sort_values([key, "salt"], kind="mergesort")
+    cols = [c for c in subs.columns if c not in (key, "salt")]
+    out = subs.groupby(key, as_index=False)[cols].sum()
+    store.finalize_manifest(written=len(fresh), recovered=len(recovered))
     return out

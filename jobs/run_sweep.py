@@ -48,10 +48,14 @@ def main(argv: list[str] | None = None) -> int:
         resume=not args.no_resume,
         n_salts=args.n_salts,
     )
+    with open(os.path.join(args.out, "_MANIFEST.json")) as f:
+        manifest = json.load(f)
     print(
         json.dumps(
             {
                 "counties": int(len(df)),
+                "partitions_written": manifest["written"],
+                "partitions_recovered": manifest["recovered"],
                 "tiles": int(df.tile_count.sum()),
                 "biomass_total": float(df.biomass_sum.sum()),
                 "grad_total": int(df.grad_sum.sum()),

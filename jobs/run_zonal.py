@@ -51,10 +51,14 @@ def main(argv: list[str] | None = None) -> int:
         k=args.k,
     )
     wall = time.time() - t0
+    with open(os.path.join(args.out, "_MANIFEST.json")) as f:
+        manifest = json.load(f)
     print(
         json.dumps(
             {
                 "counties": int(len(df)),
+                "partitions_written": manifest["written"],
+                "partitions_recovered": manifest["recovered"],
                 "tiles": int(df.tile_count.sum()),
                 "biomass_total": float(df.biomass_sum.sum()),
                 "wall_sec": round(wall, 2),

@@ -67,11 +67,11 @@ def test_kill_mid_run_then_resume(ray_session, tiles_small, tmp_path):
 
 
 def test_generic_checkpointed_write_resume(ray_session, tmp_path):
-    """state/ckptwrite.checkpointed_partition_write: the flagship's
-    salted write/lineage/resume contract, generalized to an arbitrary
-    dataset and key (events by event_type here) — full run, resumed
-    run, and invalidated-partition run must all return the identical
-    summary frame, recomputing only what was invalidated."""
+    """state/ckptwrite.checkpointed_partition_write: the sink the tile
+    pipelines write through, on an arbitrary dataset and key (events by
+    event_type here) — full run, resumed run, and invalidated-partition
+    run must all return the identical summary frame, recomputing only
+    what was invalidated."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -79,7 +79,6 @@ def test_generic_checkpointed_write_resume(ray_session, tmp_path):
     from biomass_processing_pipeline_ray.state.checkpoint import CheckpointStore
     from biomass_processing_pipeline_ray.state.ckptwrite import (
         checkpointed_partition_write,
-        completed_partitions,
     )
 
     n = 3000
@@ -95,33 +94,35 @@ def test_generic_checkpointed_write_resume(ray_session, tmp_path):
         }
     )
 
+    def summarize(t):
+        return {"row_count": t.num_rows, "value_sum": float(t["value"].to_numpy().sum())}
+
     def run(out):
         return checkpointed_partition_write(
             rd.from_arrow(tbl),
             out,
-            key_cols=["event_type"],
-            salt_col="salt",
-            summary_sums={"value_sum": "value"},
+            key="event_type",
+            summarize=summarize,
             sort_by=["event_id"],
         )
 
     out_dir = str(tmp_path / "ck")
+    store = CheckpointStore(out_dir, key_name="event_type")
     full = run(out_dir)
     assert set(full.event_type) == {"click", "view", "buy"}
     assert int(full.row_count.sum()) == n
-    assert len(completed_partitions(out_dir)) == 6  # 3 types × 2 salts
+    assert len(store.completed()) == 6  # 3 types × 2 salts
 
     # resume: nothing recomputes, identical frame
     resumed = run(out_dir)
     pd.testing.assert_frame_equal(full, resumed)
 
     # invalidate one partition: only it recomputes; identical frame
-    store = CheckpointStore(out_dir, key_name="event_type")
     store.invalidate("view_s1")
-    assert len(completed_partitions(out_dir)) == 5
+    assert len(store.completed()) == 5
     again = run(out_dir)
     pd.testing.assert_frame_equal(full, again)
-    assert len(completed_partitions(out_dir)) == 6
+    assert len(store.completed()) == 6
     # data layout: hive dirs keyed by the partition column
     assert os.path.isdir(os.path.join(out_dir, "event_type=view"))
     assert os.path.exists(

@@ -187,37 +187,38 @@ def test_corrupt_tiles_do_not_poison_zonal(ray_session, tmp_path):
     assert np.allclose(fast.ndvi_mean, ckpt.ndvi_mean, atol=1e-4)
 
 
+def _one_county_layer(lon0, lat0):
+    """County "99999": one rectangle the size of the tile domain with
+    its south-west corner at (lon0, lat0)."""
+    import pyarrow as pa
+
+    from biomass_processing_pipeline_ray.geo import wkb as W
+
+    lon1, lat1 = lon0 + G.LON_SPAN, lat0 + G.LAT_SPAN
+    return pa.table(
+        {
+            "county_fips": pa.array(["99999"], pa.string()),
+            "geometry_wkb": pa.array(
+                [W.rect_wkb(lon0, lat0, lon1, lat1)], pa.binary()
+            ),
+            "min_lon": [lon0],
+            "min_lat": [lat0],
+            "max_lon": [lon1],
+            "max_lat": [lat1],
+            "area_m2": [1.0],
+        }
+    )
+
+
 def test_skewed_county_salted_writes(ray_session, tiles_small, tmp_path):
     """North-rule skew handling: ONE county holding 100% of tiles is
     split into n_salts parallel sub-partitions, output stays exact."""
-    import numpy as np
-    import pyarrow as pa
-
-    from biomass_processing_pipeline_ray.functions import georef as G
-    from biomass_processing_pipeline_ray.geo import wkb as W
     from biomass_processing_pipeline_ray.pipelines.biomass import (
         biomass_zonal_checkpointed,
     )
     from biomass_processing_pipeline_ray.state.checkpoint import CheckpointStore
 
-    one_county = pa.table(
-        {
-            "county_fips": pa.array(["99999"], pa.string()),
-            "geometry_wkb": pa.array(
-                [
-                    W.rect_wkb(
-                        G.LON0, G.LAT0, G.LON0 + G.LON_SPAN, G.LAT0 + G.LAT_SPAN
-                    )
-                ],
-                pa.binary(),
-            ),
-            "min_lon": [G.LON0],
-            "min_lat": [G.LAT0],
-            "max_lon": [G.LON0 + G.LON_SPAN],
-            "max_lat": [G.LAT0 + G.LAT_SPAN],
-            "area_m2": [1.0],
-        }
-    )
+    one_county = _one_county_layer(G.LON0, G.LAT0)
     out = str(tmp_path / "skew")
     df = biomass_zonal_checkpointed(
         tiles_small, out, counties=one_county, n_tiles=1000, n_salts=4
@@ -234,6 +235,79 @@ def test_skewed_county_salted_writes(ray_session, tiles_small, tmp_path):
         by_salt[by_salt.salt == s].biomass.sum() for s in range(4)
     )
     assert abs(df.biomass_sum.iloc[0] - exp_sum) < 1e-6
+
+
+def test_county_layer_far_from_every_tile(ray_session, tiles_small, tmp_path):
+    """A county layer that no tile falls in: both checkpointed pipelines
+    return a typed zero-row frame (the columns and dtypes of a normal
+    run) and write no partition, a resume returns the same frame, and
+    the fast path agrees that no county has tiles."""
+    import json
+    import os
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import (
+        biomass_zonal,
+        biomass_zonal_checkpointed,
+    )
+    from biomass_processing_pipeline_ray.pipelines.sweep import (
+        curation_sweep_checkpointed,
+    )
+    from biomass_processing_pipeline_ray.state.checkpoint import CheckpointStore
+
+    far = _one_county_layer(G.LON0 + 10 * G.LON_SPAN, G.LAT0)
+    for fn in (biomass_zonal_checkpointed, curation_sweep_checkpointed):
+        normal = fn(tiles_small, str(tmp_path / f"{fn.__name__}_normal"), n_tiles=1000)
+        out = str(tmp_path / fn.__name__)
+        empty = fn(tiles_small, out, counties=far, n_tiles=1000)
+        assert len(empty) == 0
+        assert list(empty.columns) == list(normal.columns)
+        assert empty.dtypes.equals(normal.dtypes)
+        assert CheckpointStore(out).completed() == set()
+        with open(os.path.join(out, "_MANIFEST.json")) as f:
+            assert json.load(f)["written"] == 0
+        assert not [d for d in os.listdir(out) if d.startswith("county_fips=")]
+        again = fn(tiles_small, out, counties=far, n_tiles=1000)
+        assert again.equals(empty)
+
+    fast = biomass_zonal(tiles_small, counties=far, n_tiles=1000).to_pandas()
+    assert len(fast) == 0
+
+
+def test_resume_filter_shares_partition_ids(ray_session, tiles_small, tmp_path):
+    """The pre-decode resume filter and the store name partitions the
+    same way: with some partitions invalidated, exactly the tiles of
+    those partitions get past the filter, and the resumed run's
+    manifest counts them as written and the rest as recovered."""
+    import json
+    import os
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import (
+        biomass_zonal_checkpointed,
+        build_assignments,
+    )
+    from biomass_processing_pipeline_ray.state.checkpoint import CheckpointStore
+
+    def manifest():
+        with open(os.path.join(out, "_MANIFEST.json")) as f:
+            m = json.load(f)
+        return m["written"], m["recovered"]
+
+    out = str(tmp_path / "filter")
+    biomass_zonal_checkpointed(tiles_small, out, n_tiles=1000, n_salts=4)
+    store = CheckpointStore(out)
+    parts = sorted(store.completed())
+    assert manifest() == (len(parts), 0)
+    stale = parts[::5]
+    expect = sum(store.lineage(p)["rows"] for p in stale)
+    for p in stale:
+        store.invalidate(p)
+    ds = build_assignments(
+        tiles_small, skip_partitions=store.completed(), n_salts=4, n_tiles=1000
+    )
+    assert 0 < expect < 1000
+    assert ds.count() == expect
+    biomass_zonal_checkpointed(tiles_small, out, n_tiles=1000, n_salts=4)
+    assert manifest() == (len(stale), len(parts) - len(stale))
 
 
 def test_per_county_wall_clock_beats_reference(ray_session, tiles_small):
