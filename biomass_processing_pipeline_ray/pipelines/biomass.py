@@ -5,13 +5,15 @@ End-to-end Ray-Data expression of the reference's county workflow
 (``comprehensive_biomass_processor_v3.process_county_comprehensive``,
 SURVEY.md §3.2), restructured for a streaming engine:
 
-1. **One fused actor-pool stage** (:class:`TileGeoStage`, plus the
-   read-fused :class:`TileGeoStageFused` for path inputs) runs the whole
-   per-tile chain: georef (id → lon/lat, cheap arithmetic), PIP zone
-   assignment (broadcast STRtree-analog), salt, resume filter, image
-   decode + phash verify, hex/S2 encode, kNN IDW stitch.  The multi-GB
-   image payload never crosses an operator boundary — decoded and
-   dropped in the same process that PIP-labeled it.
+1. **One fused task stage** (:class:`TileGeoStage`, plus the
+   read-fused :class:`TileGeoStageFused` for path inputs) runs the
+   whole per-tile chain: georef (id → lon/lat, cheap arithmetic), PIP
+   zone assignment (broadcast STRtree-analog), salt, resume filter,
+   image decode + phash verify, hex/S2 encode, kNN IDW stitch.  The
+   multi-GB image payload never crosses an operator boundary — decoded
+   and dropped in the same process that PIP-labeled it.  The stage is
+   built once on the driver and broadcast to plain Ray tasks: no job
+   waits for an actor pool to start, and a finished job holds no CPU.
 2. **Georef + PIP run BEFORE decode**: a tile's county is knowable
    from its id alone, so resume is a pre-decode filter (completed
    (county, salt) sub-partitions never decode again) — the reference
@@ -55,16 +57,18 @@ def _georef_pip_stage(batch: pa.Table) -> pa.Table:
 
 
 class TileGeoStage:
-    """One actor-pool stage composing georef → PIP → resume-filter →
+    """The per-batch kernel composing georef → PIP → resume-filter →
     decode → cells → kNN over each Arrow batch.
 
-    A single pool (instead of a PIP pool feeding a decode/kNN pool)
+    A single stage (instead of a PIP stage feeding a decode/kNN stage)
     keeps the wide image payload OUT of the object store between stages
     — the ``bytes`` column is decoded and dropped inside the same
     process that PIP-labeled it — and leaves the streaming executor
     only two CPU-hungry operators (read, this) to balance.  State
-    (PolygonSet, GridKNN, cell encoder) is built once per actor from
-    broadcast refs (reference A1–A3 analogs, SURVEY.md §2.3).
+    (PolygonSet, GridKNN, cell encoder; reference A1–A3 analogs,
+    SURVEY.md §2.3) is built once from the broadcast refs;
+    ``build_assignments`` hands the built instance to ``map_batches``,
+    which runs it as plain tasks.
     """
 
     def __init__(
@@ -99,7 +103,7 @@ class TileGeoStage:
             from ..stages.clipzonal import ClipContext
 
             # clip state parses the SAME broadcast counties table the
-            # PIP joiner uses — one object-store read per actor
+            # PIP joiner uses
             self.clip_ctx = ClipContext(ray.get(counties_ref))
         else:
             self.clip_ctx = None
@@ -130,15 +134,15 @@ class TileGeoStage:
 
 
 class TileGeoStageFused(TileGeoStage):
-    """TileGeoStage with the parquet read fused into the actor.
+    """TileGeoStage with the parquet read fused into it.
 
     Input rows are FILE PATHS (``rd.from_items``); each task reads its
-    file with pyarrow inside the actor and runs the per-tile chain.
-    The multi-GB image payload never enters the object store at all
-    (file → actor heap → dropped after decode), and the executor
-    schedules exactly one operator — no read-vs-actor resource split.
-    Per-file task granularity keeps retries and backpressure (a failed
-    file re-reads only itself)."""
+    file with pyarrow and runs the per-tile chain.  The multi-GB image
+    payload never enters the object store at all (file → task heap →
+    dropped after decode), and the executor schedules exactly one
+    operator — no read-vs-map resource split.  Per-file task
+    granularity keeps retries and backpressure (a failed file re-reads
+    only itself)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -157,6 +161,20 @@ def _parquet_files(path: str) -> list[str]:
     )
 
 
+def _unreserved(ds):
+    """``ds`` with Ray Data's per-operator resource reservation off.
+
+    For a per-tile stage whose consumers are shuffle barriers (groupby,
+    repartition, sort) and the small maps behind them.  Those cannot
+    start before the stage ends, yet the reservation holds CPUs for them
+    all along: on 4 CPUs it left the stage a budget of 1.25 CPUs, one
+    task at a time.  The setting lives in the context ``ds`` shares with
+    the datasets it was derived from and the ones derived from it.
+    """
+    ds.context.op_resource_reservation_enabled = False
+    return ds
+
+
 def build_assignments(
     tiles,
     counties: pa.Table | None = None,
@@ -164,7 +182,6 @@ def build_assignments(
     k: int = 8,
     hex_res: int = 7,
     s2_level: int = 13,
-    concurrency=None,
     skip_partitions: set[str] | None = None,
     n_salts: int = 1,
     emit_clip: bool = False,
@@ -202,14 +219,10 @@ def build_assignments(
         else:
             n_tiles = tiles.count()
 
-    # one elastic actor pool does all per-tile compute; warm floor at
-    # half the machine (ramp-up from 1 actor costs ~2× wall on short
-    # runs), ceiling the whole machine — read tasks fill the gaps.
     ncpus = int(ray.cluster_resources().get("CPU", 4))
-    concurrency = concurrency or (max(1, ncpus // 2), max(2, ncpus))
-    # batch size caps block count (actor map_batches bundles input
-    # blocks up to batch_size): keep ≥4 batches per CPU in flight so
-    # the pool can use the whole machine even at test scale
+    # batch size caps block count (map_batches bundles input blocks up
+    # to batch_size): keep ≥4 batches per CPU in flight so the tasks
+    # can use the whole machine even at test scale
     bs = int(np.clip(n_tiles // (ncpus * 4), 512, 8192))
 
     counties_ref = ray.put(counties)
@@ -222,6 +235,9 @@ def build_assignments(
     else:
         sidecar_ref = None
 
+    # the stage (PolygonSet, GridKNN, clip rings) is built ONCE here;
+    # Ray Data ships the built callable to every task through the
+    # object store, so a task pays deserialization, never a rebuild
     kwargs = {
         "counties_ref": counties_ref,
         "centroids_ref": sidecar_ref,
@@ -241,20 +257,16 @@ def build_assignments(
     if paths is not None:
         import ray.data as rd
 
-        return rd.from_items(paths).map_batches(
-            TileGeoStageFused,
-            fn_constructor_kwargs=kwargs,
+        out = rd.from_items(paths).map_batches(
+            TileGeoStageFused(**kwargs),
             batch_format="pyarrow",
-            concurrency=concurrency,
             batch_size=1,  # one file per task: retry/backpressure unit
         )
-    return tiles.map_batches(
-        TileGeoStage,
-        fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=bs,
-    )
+    else:
+        out = tiles.map_batches(
+            TileGeoStage(**kwargs), batch_format="pyarrow", batch_size=bs
+        )
+    return _unreserved(out)
 
 
 def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, **kw):

@@ -114,20 +114,13 @@ def _range_geo(n: int):
     return ds.map_batches(prep, batch_format="pyarrow")
 
 
-def _pip(ds, concurrency=(1, 8)):
-    import ray
-
+def _pip(ds, counties: pa.Table | None = None):
+    """Broadcast PIP join against ``counties`` (default: the rect layer)."""
     from ..sources.counties import rect_counties
     from ..stages.pip_join import PIPJoiner
 
-    ref = ray.put(rect_counties())
-    return ds.map_batches(
-        PIPJoiner,
-        fn_constructor_kwargs={"counties_ref": ref},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=8192,
-    )
+    joiner = PIPJoiner(counties=rect_counties() if counties is None else counties)
+    return ds.map_batches(joiner, batch_format="pyarrow", batch_size=8192)
 
 
 def _grouped_sums(ds, keys: list[str], sums: dict[str, str],
@@ -756,20 +749,9 @@ def q_pip_assign_jittered(sf_dir: str):
     layer — exercises the real ray-cast kernel, not the floor-arithmetic
     mirror; hash-checked against an independent per-county edge-loop
     oracle (``pipelines/oracles.py``)."""
-    import ray
-
     from ..sources.counties import jittered_counties
-    from ..stages.pip_join import PIPJoiner
 
-    ds = _range_geo(universe_n(sf_dir))
-    ref = ray.put(jittered_counties())
-    ds = ds.map_batches(
-        PIPJoiner,
-        fn_constructor_kwargs={"counties_ref": ref},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        batch_size=8192,
-    )
+    ds = _pip(_range_geo(universe_n(sf_dir)), jittered_counties())
     return ds.select_columns(["tile_id", "county_fips"])
 
 
@@ -806,27 +788,7 @@ def _sql_hex_index(n: int) -> str:
 
 def q_knn_idw(sf_dir: str):
     """kNN + IDW stitch on a capped universe (SQL oracle = O(n²) join)."""
-    import ray
-
-    from ..stages.knn_stitch import KNNStitcher, centroid_sidecar
-
-    n = min(universe_n(sf_dir), KNN_N)
-    ids = np.arange(n, dtype=np.int64)
-    lon, lat = G.derive_lonlat(ids)
-    sidecar = ray.put(centroid_sidecar(lon, lat, ids, G.derive_value(ids)))
-    ds = _range_geo(n)
-
-    def add_int_id(b: pa.Table) -> pa.Table:
-        return b.append_column("tile_int_id", b["tile_id"])
-
-    ds = ds.map_batches(add_int_id, batch_format="pyarrow").map_batches(
-        KNNStitcher,
-        fn_constructor_kwargs={"centroids_ref": sidecar, "k": 8},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        batch_size=4096,
-    )
-    return ds.select_columns(["tile_id", "knn_idw_value"])
+    return q_knn_idw_full(sf_dir).select_columns(["tile_id", "knn_idw_value"])
 
 
 def _sql_knn_idw(n: int) -> str:
@@ -1461,24 +1423,20 @@ def q_county_gradient(sf_dir: str):
     """Per-county image texture rollup: integer total-variation edge
     energy per tile (decode → |Δrow|+|Δcol| of the channel sum, pure
     int64 — the junk-image / blur score of a training-data filter),
-    summed per county.  Fused-read actor pool (payload never enters the
+    summed per county.  Fused-read task stage (payload never enters the
     object store); hash-checked against a sequential decode oracle
     (``pipelines/oracles.ensure_grad_oracle``).  Reference analogue:
     the per-parcel decoded-raster statistics chain
     (``vegetation_analyzer_v3.py:139-141``)."""
-    import ray
     import ray.data as rd
 
     from ..stages.multimodal import ImageGradientStageFused
-    from .biomass import _parquet_files
+    from .biomass import _parquet_files, _unreserved
 
-    paths = _parquet_files(tiles_path(sf_dir))
-    ncpus = int(ray.cluster_resources().get("CPU", 4))
-    out = rd.from_items(paths).map_batches(
-        ImageGradientStageFused,
-        batch_format="pyarrow",
-        concurrency=(max(1, ncpus // 2), max(2, ncpus)),
-        batch_size=1,
+    out = _unreserved(
+        rd.from_items(_parquet_files(tiles_path(sf_dir))).map_batches(
+            ImageGradientStageFused(), batch_format="pyarrow", batch_size=1
+        )
     )
 
     def add_fips(b: pa.Table) -> pa.Table:
@@ -1525,6 +1483,7 @@ def q_psnr_verify_pairs(sf_dir: str):
     from ..sources.tiles import read_tiles
     from ..stages.dedup import phash_neardup_pairs
     from ..stages.psnrverify import psnr_verify_pairs
+    from .biomass import _unreserved
 
     path = tiles_path(sf_dir)
     n = universe_n(sf_dir)
@@ -1532,7 +1491,8 @@ def q_psnr_verify_pairs(sf_dir: str):
         read_tiles(path, columns=["image_id", "phash"]), max_hamming=3, n_rows=n
     )
     tiles = read_tiles(path, columns=["image_id", "bytes", "w", "h", "fmt"])
-    return psnr_verify_pairs(tiles, pairs)
+    # the decode stage feeds the pair-bucket shuffle
+    return psnr_verify_pairs(_unreserved(tiles), pairs)
 
 
 def _tiles_with_county(sf_dir: str, columns: list[str]):
@@ -1726,20 +1686,16 @@ def _sql_county_dominant_fmt(n: int) -> str:
 
 def q_image_thumbs(sf_dir: str):
     """Multimodal image resize as a pipeline: decode → area-mean 16×16
-    thumbnail → re-encode + stats, actor-pool stage.  Hash-checked
+    thumbnail → re-encode + stats, fused-read task stage.  Hash-checked
     against an independent reshape-block-mean resize oracle."""
-    import ray
     import ray.data as rd
 
     from ..stages.multimodal import ImageResizeStageFused
     from .biomass import _parquet_files
 
-    paths = _parquet_files(tiles_path(sf_dir))
-    ncpus = int(ray.cluster_resources().get("CPU", 4))
-    out = rd.from_items(paths).map_batches(
-        ImageResizeStageFused,
+    out = rd.from_items(_parquet_files(tiles_path(sf_dir))).map_batches(
+        ImageResizeStageFused(),
         batch_format="pyarrow",
-        concurrency=(max(1, ncpus // 2), max(2, ncpus)),
         batch_size=1,  # one file per task: retry/backpressure unit
     )
 
@@ -1962,25 +1918,21 @@ def q_knn_edges(sf_dir: str):
 def q_knn_idw_full(sf_dir: str):
     """kNN stitch keeping the neighbor-list column (internal helper +
     registered rows-only variant)."""
-    import ray
-
     from ..stages.knn_stitch import KNNStitcher, centroid_sidecar
 
     n = min(universe_n(sf_dir), KNN_N)
     ids = np.arange(n, dtype=np.int64)
     lon, lat = G.derive_lonlat(ids)
-    sidecar = ray.put(centroid_sidecar(lon, lat, ids, G.derive_value(ids)))
+    knn = KNNStitcher(
+        centroids=centroid_sidecar(lon, lat, ids, G.derive_value(ids)), k=8
+    )
     ds = _range_geo(n)
 
     def add_int_id(b: pa.Table) -> pa.Table:
         return b.append_column("tile_int_id", b["tile_id"])
 
     return ds.map_batches(add_int_id, batch_format="pyarrow").map_batches(
-        KNNStitcher,
-        fn_constructor_kwargs={"centroids_ref": sidecar, "k": 8},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        batch_size=4096,
+        knn, batch_format="pyarrow", batch_size=4096
     )
 
 

@@ -3,17 +3,17 @@ path (M14/G1): county polygon → pixel-window mask → masked reduction.
 
 Reference analog: ``blob_manager_v3.py:800-845`` (rasterio mask of the
 parcel geometry) feeding ``landcover_analyzer_v3.py:224-263`` (per-zone
-masked class stats).  Each tile decodes once inside an actor-pool stage,
-the ASSIGNED county's ring (broadcast, parsed once per actor) is
+masked class stats).  Each tile decodes once inside the per-tile task
+stage, the ASSIGNED county's ring (parsed once, broadcast) is
 rasterized over the tile's pixel grid (``image/window.rasterize_ring``),
 and ``masked_stats`` reduces the per-pixel NDVI-style values to per-tile
 scalars — only narrow rows ever shuffle, the pixel payload dies in the
-actor (SURVEY.md §7.4 wide-row rule).
+task (SURVEY.md §7.4 wide-row rule).
 
 The clip math lives in :class:`ClipContext` / :func:`clip_columns` so
 TWO call sites share one implementation:
 
-- the standalone :class:`ClipZonalStage` actor (its own decode pass —
+- the standalone :class:`ClipZonalStage` (its own decode pass —
   kept for tests and for running clip stats without the headline), and
 - the FUSED path inside ``stages/decode.decode_batch`` (via
   ``pipelines/biomass.TileGeoStage(emit_clip=True)``): the headline's
@@ -44,7 +44,7 @@ PIX_DEG = 1.0 / 8192.0  # exact binary: ~13 m at these latitudes
 
 
 class ClipContext:
-    """Broadcast county clip state, parsed once per actor: ring vertex
+    """Broadcast county clip state, parsed once: ring vertex
     arrays + bboxes keyed by fips (the interior fast-path routing
     table)."""
 
@@ -203,7 +203,7 @@ def clip_columns(
 
 
 class ClipZonalStage:
-    """Actor: georef → PIP county → decode → clip mask → masked stats.
+    """georef → PIP county → decode → clip mask → masked stats.
 
     Standalone variant — pays its own decode.  When the headline
     pipeline is already decoding, use
@@ -252,21 +252,3 @@ class ClipZonalStage:
         )
         return out.filter(pa.array(ok))
 
-
-class ClipZonalStageFused(ClipZonalStage):
-    """ClipZonalStage with the parquet read fused into the actor: input
-    rows are file paths, the multi-GB pixel payload never enters the
-    object store (same pattern as ``TileGeoStageFused``)."""
-
-    COLUMNS = ["image_id", "bytes", "w", "h", "fmt"]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        tables = [
-            pq.read_table(p, columns=self.COLUMNS)
-            for p in batch["item"].to_pylist()
-        ]
-        return super().__call__(
-            pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-        )

@@ -8,11 +8,13 @@ deterministic total order (distance², id) so IDW sums are reproducible
 (SURVEY.md §7.4).
 
 The centroid side is materialized once on the driver (narrow columns:
-int id, lon, lat, value — no image payload), ``ray.put`` broadcast, and
-each actor builds its :class:`~..geo.knn.GridKNN` in ``__init__``.
+int id, lon, lat, value — no image payload), its
+:class:`~..geo.knn.GridKNN` is built once there, and the built
+:class:`KNNStitcher` is broadcast to every ``map_batches`` task through
+the object store (numpy arrays: zero-copy deserialization, no rebuild).
 
 Scale path (10^12 tiles): shard the index by coarse hex super-cell and
-run one actor pool per shard with halo cells — the per-actor index then
+run one stage per shard with halo cells — the per-task index then
 holds only a cell-local neighborhood, which is exactly the reference's
 radius-capped semantics (0.1°, LIMIT 50).
 """
@@ -74,7 +76,7 @@ class KNNStitcher:
 
 
 def centroid_sidecar(lon, lat, ids, values) -> dict:
-    """Narrow broadcastable dict for the actor pool (ray.put on driver)."""
+    """Narrow dict the kNN index is built from (on the driver, once)."""
     return {
         "lon": np.asarray(lon, dtype=np.float64),
         "lat": np.asarray(lat, dtype=np.float64),

@@ -79,7 +79,7 @@ class ImageResizeStage:
 
 
 class ImageResizeStageFused(ImageResizeStage):
-    """ImageResizeStage with the parquet read fused into the actor —
+    """ImageResizeStage with the parquet read fused into it —
     the tile payload never enters the object store (the wide-row rule,
     same pattern as ``TileGeoStageFused``)."""
 
@@ -138,7 +138,7 @@ class ImageGradientStage:
 
 
 class ImageGradientStageFused(ImageGradientStage):
-    """ImageGradientStage with the parquet read fused into the actor
+    """ImageGradientStage with the parquet read fused into it
     (payload never enters the object store)."""
 
     COLUMNS = ["image_id", "bytes", "w", "h", "fmt"]

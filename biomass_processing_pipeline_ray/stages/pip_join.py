@@ -5,9 +5,10 @@ The broadcast-hash spatial join replacing the reference's PostGIS
 GeoPandas STRtree path (``optimized_county_processor_v3.py:173-176``).
 
 The county layer is tiny (3,143 polygons nationally) so it is
-``ray.put`` ONCE on the driver and each actor builds its
-:class:`~..geo.pip.PolygonSet` in ``__init__`` — once per actor, never
-per batch, and no shuffle of the big side.
+built into a :class:`~..geo.pip.PolygonSet` ONCE on the driver, and the
+built :class:`PIPJoiner` is broadcast to every ``map_batches`` task
+through the object store — no per-task rebuild, no long-lived actor, no
+shuffle of the big side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def build_polygon_set(counties: pa.Table) -> PolygonSet:
 
 
 class PIPJoiner:
-    """Actor-pool map_batches callable adding ``county_fips`` ('' = outside)."""
+    """Per-batch kernel adding ``county_fips`` ('' = outside)."""
 
     def __init__(self, counties_ref=None, counties: pa.Table | None = None):
         if counties is None:

@@ -17,11 +17,12 @@ oracle compares the same integers (hash-exact, not approximate).
 
 Scale shape (the 100 TB story): the pair set is the banded-Hamming
 output — duplicate CANDIDATES, a small fraction of the corpus.  Its
-``image_id -> [(pair, side)]`` membership map ships ONCE via
-``ray.put``; candidate tiles are decoded inside the same filtered
-``map_batches`` pass that read them (non-candidate payload bytes never
-leave the read task, and candidate pixels enter exactly ONE exchange,
-keyed by pair bucket, where the per-pair integer MSE is computed).
+``image_id -> (pair, side)`` membership ships ONCE with the map
+function, as sorted numpy arrays; candidate tiles are decoded inside
+the same filtered ``map_batches`` pass that read them (non-candidate
+payload bytes never leave the read task, and candidate pixels enter
+exactly ONE exchange, keyed by pair bucket, where the per-pair integer
+MSE is computed).
 Rows in flight are bounded by 2 x pairs, never by the corpus.  If the
 pair set ever outgrew the driver (pathological corpus-wide
 duplication), the identical computation decomposes into the two-hop
@@ -58,51 +59,54 @@ _OUT_SCHEMA = pa.schema(
 _MAX_PSNR_SQERR = 65025  # 255^2: PSNR >= 40dB <=> mse_num * 1e4 <= 65025 * n_px
 
 
-class _DecodeCandidates:
-    """Actor-pool stage: decode ONLY pair-member tiles, emit one row
-    per (pair, side) membership keyed by pair bucket."""
+def _decode_candidates(
+    batch: pa.Table,
+    memb_ids: np.ndarray,
+    memb_pair: np.ndarray,
+    memb_side: np.ndarray,
+    n_buckets: int,
+) -> pa.Table:
+    """Ray task: decode ONLY pair-member tiles, emit one row per (pair,
+    side) membership keyed by pair bucket.  Membership is three parallel
+    numpy arrays sorted by image id (zero-copy from the object store), so
+    a task binary-searches it instead of rebuilding a lookup table."""
+    from ..image import codecs
 
-    def __init__(self, memb_ref, n_buckets: int):
-        import ray
-
-        self.memb = ray.get(memb_ref)  # image_id -> [(pair_idx, side)]
-        self.nb = n_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..image import codecs
-
-        ids = batch["image_id"].to_pylist()
-        hits = [j for j, i in enumerate(ids) if i in self.memb]
-        pidx: list[int] = []
-        side: list[int] = []
-        ws: list[int] = []
-        hs: list[int] = []
-        px: list[bytes] = []
-        if hits:
-            bufs = batch["bytes"].to_pylist()
-            w_arr = batch["w"].to_numpy()
-            h_arr = batch["h"].to_numpy()
-            fmts = batch["fmt"].to_pylist()
-            for j in hits:
-                w, h = int(w_arr[j]), int(h_arr[j])
-                dec = codecs.decode(bufs[j], fmts[j], h, w)
-                blob = dec.tobytes()
-                for p, s in self.memb[ids[j]]:
-                    pidx.append(p)
-                    side.append(s)
-                    ws.append(w)
-                    hs.append(h)
-                    px.append(blob)
-        return pa.table(
-            {
-                "pair_idx": pa.array(pidx, pa.int64()),
-                "side": pa.array(side, pa.int64()),
-                "w": pa.array(ws, pa.int64()),
-                "h": pa.array(hs, pa.int64()),
-                "px": pa.array(px, pa.binary()),
-                "bucket": pa.array([p % self.nb for p in pidx], pa.int64()),
-            }
-        )
+    ids = batch["image_id"].to_pylist()
+    keys = np.asarray(ids, dtype=memb_ids.dtype)
+    lo = np.searchsorted(memb_ids, keys, side="left")
+    hi = np.searchsorted(memb_ids, keys, side="right")
+    hits = np.flatnonzero(hi > lo)
+    pidx: list[int] = []
+    side: list[int] = []
+    ws: list[int] = []
+    hs: list[int] = []
+    px: list[bytes] = []
+    if len(hits):
+        bufs = batch["bytes"].to_pylist()
+        w_arr = batch["w"].to_numpy()
+        h_arr = batch["h"].to_numpy()
+        fmts = batch["fmt"].to_pylist()
+        for j in hits:
+            w, h = int(w_arr[j]), int(h_arr[j])
+            dec = codecs.decode(bufs[j], fmts[j], h, w)
+            blob = dec.tobytes()
+            for m in range(lo[j], hi[j]):
+                pidx.append(int(memb_pair[m]))
+                side.append(int(memb_side[m]))
+                ws.append(w)
+                hs.append(h)
+                px.append(blob)
+    return pa.table(
+        {
+            "pair_idx": pa.array(pidx, pa.int64()),
+            "side": pa.array(side, pa.int64()),
+            "w": pa.array(ws, pa.int64()),
+            "h": pa.array(hs, pa.int64()),
+            "px": pa.array(px, pa.binary()),
+            "bucket": pa.array([p % n_buckets for p in pidx], pa.int64()),
+        }
+    )
 
 
 def _bucket_mse(g: pd.DataFrame, meta_ref) -> pa.Table:
@@ -152,7 +156,7 @@ def _bucket_mse(g: pd.DataFrame, meta_ref) -> pa.Table:
     )
 
 
-def psnr_verify_pairs(tiles_ds, pairs_ds, n_buckets: int = 64, concurrency=(2, 8)):
+def psnr_verify_pairs(tiles_ds, pairs_ds, n_buckets: int = 64):
     """Verify (a, b, hamming) candidate pairs against decoded pixels.
 
     Returns a Dataset of ``(a, b, hamming, n_px, mse_num, dup40)`` —
@@ -170,18 +174,24 @@ def psnr_verify_pairs(tiles_ds, pairs_ds, n_buckets: int = 64, concurrency=(2, 8
     a_ids = pairs["a"].to_numpy()
     b_ids = pairs["b"].to_numpy()
     hams = pairs["hamming"].to_numpy(np.int64)
-    memb: dict[str, list[tuple[int, int]]] = {}
-    for p in range(len(pairs)):
-        memb.setdefault(a_ids[p], []).append((p, 0))
-        memb.setdefault(b_ids[p], []).append((p, 1))
-    memb_ref = ray.put(memb)
+    # membership image_id -> (pair, side), one entry per pair side,
+    # sorted by (image_id, pair, side)
+    n = len(pairs)
+    memb_ids = np.concatenate([a_ids, b_ids]).astype(str)
+    memb_pair = np.tile(np.arange(n, dtype=np.int64), 2)
+    memb_side = np.repeat(np.array([0, 1], np.int64), n)
+    order = np.lexsort((memb_side, memb_pair, memb_ids))
     meta_ref = ray.put((a_ids, b_ids, hams))
 
     routed = tiles_ds.map_batches(
-        _DecodeCandidates,
-        fn_constructor_args=(memb_ref, n_buckets),
+        _decode_candidates,
+        fn_kwargs={
+            "memb_ids": memb_ids[order],
+            "memb_pair": memb_pair[order],
+            "memb_side": memb_side[order],
+            "n_buckets": n_buckets,
+        },
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
     return routed.groupby("bucket").map_groups(
         partial(_bucket_mse, meta_ref=meta_ref), batch_format="pandas"

@@ -77,14 +77,13 @@ def checkpointed_partition_write(
     store = CheckpointStore(out_dir, key_name=key)
     done = store.completed() if resume else set()
 
-    def write_subpart(group: pd.DataFrame) -> pa.Table:
-        kval = str(group[key].iloc[0])
-        salt = int(group["salt"].iloc[0])
+    def write_subpart(tbl: pa.Table) -> pa.Table:
+        kval = str(tbl[key][0].as_py())
+        salt = int(tbl["salt"][0].as_py())
         part = partition_id(kval, salt)
         t0 = time.time()
         if sort_by:
-            group = group.sort_values(sort_by, kind="mergesort")
-        tbl = pa.Table.from_pandas(group, preserve_index=False)
+            tbl = tbl.sort_by([(c, "ascending") for c in sort_by])
         summary = {key: kval, "salt": salt, **summarize(tbl)}
         # a group outside every zone, or one an earlier run completed
         # (the upstream filter should have dropped it), is not written;
@@ -109,7 +108,7 @@ def checkpointed_partition_write(
 
     fresh = (
         ds.groupby([key, "salt"])
-        .map_groups(write_subpart, batch_format="pandas")
+        .map_groups(write_subpart, batch_format="pyarrow")
         .to_pandas()
     )
     if len(fresh):

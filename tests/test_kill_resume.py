@@ -1,9 +1,9 @@
 """FIXTURES.md §5 — hard-kill mid-run, restart, byte-identical output.
 
-A subprocess runs the checkpointed pipeline throttled to one actor; the
-parent SIGKILLs its whole process group once the first county partitions
-are committed, then resumes in-process and compares against an
-uninterrupted run.  (If the child happens to finish before the kill the
+A subprocess runs the checkpointed pipeline on a 1-CPU session (one tile
+task at a time); the parent SIGKILLs its whole process group once the
+first county partitions are committed, then resumes in-process and
+compares against an uninterrupted run.  (If the child happens to finish before the kill the
 resume is a no-op and the equality assertion still holds.)
 """
 
@@ -18,10 +18,10 @@ import pytest
 
 CHILD = """
 import ray, os
-ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 from biomass_processing_pipeline_ray.pipelines.biomass import biomass_zonal_checkpointed
 biomass_zonal_checkpointed(os.environ["TILES"], os.environ["OUT"],
-                           n_tiles=int(os.environ["NT"]), concurrency=(1, 1))
+                           n_tiles=int(os.environ["NT"]))
 ray.shutdown()
 """
 
@@ -48,12 +48,13 @@ def test_kill_mid_run_then_resume(ray_session, tiles_small, tmp_path):
         [sys.executable, "-c", CHILD], env=env, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    # wait for the first committed partitions, then hard-kill the session
+    # wait for the first committed partitions (they commit a few ms
+    # apart), then hard-kill the session
     deadline = time.time() + 240
     while time.time() < deadline and proc.poll() is None:
         if os.path.isdir(lineage_dir) and len(os.listdir(lineage_dir)) >= 3:
             break
-        time.sleep(0.2)
+        time.sleep(0.01)
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
@@ -132,10 +133,10 @@ def test_generic_checkpointed_write_resume(ray_session, tmp_path):
 
 SWEEP_CHILD = """
 import ray, os
-ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 from biomass_processing_pipeline_ray.pipelines.sweep import curation_sweep_checkpointed
 curation_sweep_checkpointed(os.environ["TILES"], os.environ["OUT"],
-                            n_tiles=int(os.environ["NT"]), concurrency=(1, 1))
+                            n_tiles=int(os.environ["NT"]))
 ray.shutdown()
 """
 
@@ -177,7 +178,7 @@ def test_sweep_kill_mid_run_then_resume(ray_session, tiles_small, tmp_path):
     while time.time() < deadline and proc.poll() is None:
         if os.path.isdir(lineage_dir) and len(os.listdir(lineage_dir)) >= 3:
             break
-        time.sleep(0.2)
+        time.sleep(0.01)
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)

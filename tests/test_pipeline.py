@@ -331,3 +331,73 @@ def test_per_county_wall_clock_beats_reference(ray_session, tiles_small):
     assert n_counties == 64
     per_county = wall / n_counties
     assert per_county < 60.0, f"{per_county:.2f}s/county vs reference 396s"
+
+
+ONE_CPU_CHILD = """
+import os, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from biomass_processing_pipeline_ray.pipelines.biomass import biomass_zonal
+from biomass_processing_pipeline_ray.pipelines.queries import q_pip_assign_jittered
+n = q_pip_assign_jittered(f"sf{4096 / 6e6:.12f}").count()
+df = biomass_zonal(os.environ["TILES"]).to_pandas()
+print(n, len(df), int(df.tile_count.sum()))
+ray.shutdown()
+"""
+
+
+def test_one_cpu_session_finishes(ray_session, tiles_small):
+    """A 1-CPU session runs the PIP join over an ``rd.range`` universe
+    and the fast zonal job to the end: no stage may hold the only CPU
+    while the tasks feeding it wait for one."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import biomass_zonal
+
+    expect = biomass_zonal(tiles_small).to_pandas()
+    env = dict(
+        os.environ,
+        TILES=tiles_small,
+        PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_CHILD], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        raise AssertionError("1-CPU session did not finish within 60 s")
+    assert proc.returncode == 0
+    n, counties, tiles = map(int, out.split()[-3:])
+    assert (n, counties, tiles) == (4096, 64, int(expect.tile_count.sum()))
+
+
+def test_finished_job_holds_no_cpu(ray_session, tiles_small):
+    """Once a job's result is in the calling process, every session CPU
+    is free again, even while no garbage collection runs."""
+    import gc
+    import time
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import biomass_zonal
+
+    ray = ray_session
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            biomass_zonal(tiles_small).to_pandas()
+        total = ray.cluster_resources()["CPU"]
+        deadline = time.time() + 5
+        while time.time() < deadline:
+            if ray.available_resources().get("CPU", 0) == total:
+                break
+            time.sleep(0.1)
+        assert ray.available_resources().get("CPU", 0) == total
+    finally:
+        gc.enable()
