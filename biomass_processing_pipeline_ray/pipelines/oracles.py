@@ -1297,9 +1297,10 @@ def sql_county_hull(n: int) -> str:
 # mosaic oracle: per-ABSOLUTE-pixel max over overlapping tiles, reduced
 # to county (n_px, snapped value sum).  Structurally independent of the
 # engine's owner-computes bucketing (stages/mosaic.py): this path emits
-# every in-domain pixel as a (key, val) row, takes ONE global
-# groupby-max over the flat key space, and only then assigns counties —
-# no spatial buckets, no canvas.  Grid spec (ix = 8kx+4-w/2+c,
+# every in-domain pixel as a (key, val) row, takes a groupby-max over
+# the flat key space (banded by key % 16, so memory stays bounded —
+# _banded_pixel_oracle), and only then assigns counties — no spatial
+# buckets, no canvas.  Grid spec (ix = 8kx+4-w/2+c,
 # iy = 11ky+5+h/2-r, county = (ix//4096, iy//5632), domain
 # [0,32768)x[0,45056)) mirrors the docstring contract in
 # stages/mosaic.py; reference analog: Sentinel scene mosaicking via the
@@ -1363,19 +1364,38 @@ def _mosaic_oracle_chunk(ids: np.ndarray) -> pa.Table:
     )
 
 
-def ensure_mosaic_oracle(n: int, chunk: int = 2048) -> str:
-    """Generate (once, cached) the 64-row county mosaic oracle."""
+_PIXEL_BANDS = 16
+
+
+def _banded_pixel_oracle(path, n, chunk, chunk_fn, band_reduce, columns):
+    """Shared builder of the per-pixel mosaic oracles, in bounded memory.
+
+    ``chunk_fn(ids)`` emits (key, values...) rows for the pixels of an
+    id chunk, pre-reduced within the chunk; it runs as plain Ray tasks
+    when a session is up.  As chunks arrive their rows are split into
+    bands by ``key % _PIXEL_BANDS``.  A pixel lands in exactly one band,
+    so ``band_reduce(rows)`` — the oracle's own flat-key groupby and
+    per-pixel math, ending in per-county partials keyed ``c`` — sees
+    all of a pixel's rows while only one band is grouped at a time.
+    The partials are integer counts and 2^-20-lattice value sums, so
+    adding them up is exact.  ``columns(county_sums)`` gives the
+    oracle's columns after ``county_fips``; the table is written
+    atomically to ``path``."""
     import pandas as pd
 
-    from ..functions import georef as G
-    from ..functions.rounding import round_away, snap_binary
-
-    path = mosaic_oracle_path(n)
     if os.path.exists(path):
         return path
     os.makedirs(ORACLE_DIR, exist_ok=True)
     all_ids = np.arange(n, dtype=np.int64)
     chunks = [all_ids[lo : lo + chunk] for lo in range(0, n, chunk)]
+    bands: list[list] = [[] for _ in range(_PIXEL_BANDS)]
+
+    def split(tbl: pa.Table) -> None:
+        df = tbl.to_pandas()
+        band = df["key"].to_numpy() % _PIXEL_BANDS
+        for b in range(_PIXEL_BANDS):
+            bands[b].append(df[band == b])
+
     try:
         import ray
 
@@ -1383,39 +1403,87 @@ def ensure_mosaic_oracle(n: int, chunk: int = 2048) -> str:
     except Exception:  # pragma: no cover
         ray_up = False
     if ray_up and len(chunks) > 1:
-        import ray
-
-        fn = ray.remote(_mosaic_oracle_chunk)
-        tables = ray.get([fn.remote(c) for c in chunks])
+        fn = ray.remote(chunk_fn)
+        pending = [fn.remote(c) for c in chunks]
+        while pending:
+            done, pending = ray.wait(pending, num_returns=1)
+            split(ray.get(done[0]))
     else:
-        tables = [_mosaic_oracle_chunk(c) for c in chunks]
-    df = pa.concat_tables(tables).to_pandas()
-    g = df.groupby("key", sort=False)["val"].max().reset_index()
-    key = g["key"].to_numpy(np.int64)
-    iy, ix = key // _MOSAIC_DX, key % _MOSAIC_DX
-    code = G.FIPS_BASE + (iy // 5632) * G.COUNTY_NX + ix // 4096
-    vals = snap_binary(g["val"].to_numpy(np.float64))
-    agg = (
-        pd.DataFrame({"c": code, "v": vals})
-        .groupby("c", sort=True)
-        .agg(n_px=("v", "size"), val_sum=("v", "sum"))
-        .reset_index()
-    )
+        for c in chunks:
+            split(chunk_fn(c))
+    partials = []
+    for b in range(_PIXEL_BANDS):
+        rows = pd.concat(bands[b], ignore_index=True)
+        bands[b] = []
+        if len(rows):
+            partials.append(band_reduce(rows))
+        del rows
+    sums = pd.concat(partials).groupby("c", sort=True).sum().reset_index()
     tbl = pa.table(
         {
             "county_fips": pa.array(
-                [f"{int(c):05d}" for c in agg["c"]], pa.string()
+                [f"{int(c):05d}" for c in sums["c"]], pa.string()
             ),
-            "n_px": pa.array(agg["n_px"].to_numpy(np.int64)),
-            "mosaic_sum": pa.array(
-                round_away(agg["val_sum"].to_numpy(np.float64), 6), pa.float64()
-            ),
+            **columns(sums),
         }
     )
     tmp = f"{path}.tmp.{os.getpid()}"
     pq.write_table(tbl, tmp)
     os.replace(tmp, path)
     return path
+
+
+def _pixel_county(key: np.ndarray) -> np.ndarray:
+    """County code of flat pixel keys ``iy * 32768 + ix``."""
+    from ..functions import georef as G
+
+    iy, ix = key // _MOSAIC_DX, key % _MOSAIC_DX
+    return G.FIPS_BASE + (iy // 5632) * G.COUNTY_NX + ix // 4096
+
+
+def _county_value_sums(key: np.ndarray, vals: np.ndarray):
+    """Per-county (n_px, val_sum) of one value per distinct pixel."""
+    import pandas as pd
+
+    return (
+        pd.DataFrame({"c": _pixel_county(key), "v": vals})
+        .groupby("c", sort=True)
+        .agg(n_px=("v", "size"), val_sum=("v", "sum"))
+        .reset_index()
+    )
+
+
+def _value_columns(name: str):
+    """(n_px, ``name``) oracle columns from per-county value sums."""
+    from ..functions.rounding import round_away
+
+    return lambda s: {
+        "n_px": pa.array(s["n_px"].to_numpy(np.int64)),
+        name: pa.array(
+            round_away(s["val_sum"].to_numpy(np.float64), 6), pa.float64()
+        ),
+    }
+
+
+def _mosaic_band(df):
+    from ..functions.rounding import snap_binary
+
+    g = df.groupby("key", sort=False)["val"].max()
+    return _county_value_sums(
+        g.index.to_numpy(np.int64), snap_binary(g.to_numpy(np.float64))
+    )
+
+
+def ensure_mosaic_oracle(n: int, chunk: int = 2048) -> str:
+    """Generate (once, cached) the 64-row county mosaic oracle."""
+    return _banded_pixel_oracle(
+        mosaic_oracle_path(n),
+        n,
+        chunk,
+        _mosaic_oracle_chunk,
+        _mosaic_band,
+        _value_columns("mosaic_sum"),
+    )
 
 
 def sql_county_mosaic(n: int) -> str:
@@ -1428,8 +1496,9 @@ def sql_county_mosaic(n: int) -> str:
 # ---------------------------------------------------------------------------
 # coverage-depth oracle: per-absolute-pixel covering-tile COUNT, banded
 # (1 / 2 / ≥3) per county.  Structurally independent of the engine's
-# difference-array bucketing (stages/mosaic.depth_bucket): this path
-# emits every in-domain pixel key and takes one global groupby-count.
+# count-canvas bucketing (stages/mosaic.composite_bucket): this path
+# emits every in-domain pixel key and takes one groupby-count over the
+# flat key space (banded by key, _banded_pixel_oracle).
 # Pure arithmetic — no decode.
 # ---------------------------------------------------------------------------
 
@@ -1476,58 +1545,40 @@ def _depth_oracle_chunk(ids: np.ndarray) -> pa.Table:
     )
 
 
-def ensure_depth_oracle(n: int, chunk: int = 4096) -> str:
+def _depth_band(df):
     import pandas as pd
 
-    from ..functions import georef as G
-
-    path = depth_oracle_path(n)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    all_ids = np.arange(n, dtype=np.int64)
-    chunks = [all_ids[lo : lo + chunk] for lo in range(0, n, chunk)]
-    try:
-        import ray
-
-        ray_up = ray.is_initialized()
-    except Exception:  # pragma: no cover
-        ray_up = False
-    if ray_up and len(chunks) > 1:
-        import ray
-
-        fn = ray.remote(_depth_oracle_chunk)
-        tables = ray.get([fn.remote(c) for c in chunks])
-    else:
-        tables = [_depth_oracle_chunk(c) for c in chunks]
-    df = pa.concat_tables(tables).to_pandas()
-    g = df.groupby("key", sort=False)["cnt"].sum().reset_index()
-    key = g["key"].to_numpy(np.int64)
-    iy, ix = key // _MOSAIC_DX, key % _MOSAIC_DX
-    code = G.FIPS_BASE + (iy // 5632) * G.COUNTY_NX + ix // 4096
-    band = np.minimum(g["cnt"].to_numpy(np.int64), 3)
-    agg = (
-        pd.DataFrame({"c": code, "b": band, "one": np.ones(len(key), np.int64)})
+    g = df.groupby("key", sort=False)["cnt"].sum()
+    band = np.minimum(g.to_numpy(np.int64), 3)
+    return (
+        pd.DataFrame(
+            {
+                "c": _pixel_county(g.index.to_numpy(np.int64)),
+                "b": band,
+                "one": np.ones(len(band), np.int64),
+            }
+        )
         .groupby(["c", "b"], sort=True)["one"]
         .sum()
         .unstack(fill_value=0)
         .reindex(columns=[1, 2, 3], fill_value=0)
         .reset_index()
     )
-    tbl = pa.table(
-        {
-            "county_fips": pa.array(
-                [f"{int(c):05d}" for c in agg["c"]], pa.string()
-            ),
-            "d1": pa.array(agg[1].to_numpy(np.int64)),
-            "d2": pa.array(agg[2].to_numpy(np.int64)),
-            "d3p": pa.array(agg[3].to_numpy(np.int64)),
-        }
+
+
+def ensure_depth_oracle(n: int, chunk: int = 4096) -> str:
+    return _banded_pixel_oracle(
+        depth_oracle_path(n),
+        n,
+        chunk,
+        _depth_oracle_chunk,
+        _depth_band,
+        lambda s: {
+            "d1": pa.array(s[1].to_numpy(np.int64)),
+            "d2": pa.array(s[2].to_numpy(np.int64)),
+            "d3p": pa.array(s[3].to_numpy(np.int64)),
+        },
     )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
 
 
 def sql_overlap_depth(n: int) -> str:
@@ -1600,58 +1651,23 @@ def _mosaic_mean_chunk(ids: np.ndarray) -> pa.Table:
     )
 
 
-def ensure_mosaic_mean_oracle(n: int, chunk: int = 2048) -> str:
-    import pandas as pd
+def _mosaic_mean_band(df):
+    from ..functions.rounding import snap_binary
 
-    from ..functions import georef as G
-    from ..functions.rounding import round_away, snap_binary
-
-    path = mosaic_mean_oracle_path(n)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    all_ids = np.arange(n, dtype=np.int64)
-    chunks = [all_ids[lo : lo + chunk] for lo in range(0, n, chunk)]
-    try:
-        import ray
-
-        ray_up = ray.is_initialized()
-    except Exception:  # pragma: no cover
-        ray_up = False
-    if ray_up and len(chunks) > 1:
-        import ray
-
-        fn = ray.remote(_mosaic_mean_chunk)
-        tables = ray.get([fn.remote(c) for c in chunks])
-    else:
-        tables = [_mosaic_mean_chunk(c) for c in chunks]
-    df = pa.concat_tables(tables).to_pandas()
-    g = df.groupby("key", sort=False).agg(s=("s", "sum"), n=("n", "sum")).reset_index()
-    key = g["key"].to_numpy(np.int64)
+    g = df.groupby("key", sort=False).agg(s=("s", "sum"), n=("n", "sum"))
     mean = snap_binary(g["s"].to_numpy(np.float64) / g["n"].to_numpy(np.float64))
-    iy, ix = key // _MOSAIC_DX, key % _MOSAIC_DX
-    code = G.FIPS_BASE + (iy // 5632) * G.COUNTY_NX + ix // 4096
-    agg = (
-        pd.DataFrame({"c": code, "v": mean})
-        .groupby("c", sort=True)
-        .agg(n_px=("v", "size"), val_sum=("v", "sum"))
-        .reset_index()
+    return _county_value_sums(g.index.to_numpy(np.int64), mean)
+
+
+def ensure_mosaic_mean_oracle(n: int, chunk: int = 2048) -> str:
+    return _banded_pixel_oracle(
+        mosaic_mean_oracle_path(n),
+        n,
+        chunk,
+        _mosaic_mean_chunk,
+        _mosaic_mean_band,
+        _value_columns("mean_sum"),
     )
-    tbl = pa.table(
-        {
-            "county_fips": pa.array(
-                [f"{int(c):05d}" for c in agg["c"]], pa.string()
-            ),
-            "n_px": pa.array(agg["n_px"].to_numpy(np.int64)),
-            "mean_sum": pa.array(
-                round_away(agg["val_sum"].to_numpy(np.float64), 6), pa.float64()
-            ),
-        }
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
 
 
 def sql_county_mosaic_mean(n: int) -> str:

@@ -1282,24 +1282,25 @@ def _sql_tile_meta_stats(n: int) -> str:
 
 
 def q_county_mosaic(sf_dir: str):
-    """County raster MOSAIC: overlapping tiles resolved to ONE value
-    per absolute pixel (max across covering tiles — the cloud-free
-    composite rule), then zonal (n_px, value sum) per county.  The
+    """County raster MOSAIC, max composite: overlapping tiles resolved
+    to ONE value per absolute pixel (max across covering tiles — the
+    cloud-free composite rule), then per-county (n_px, Σ max).  The
     reference's Sentinel scene-merge step (bulk per-county tile fetch +
     overlap handling, ``blob_manager_v3.py:458-547``) as a distributed
-    operator: one bounded spatial shuffle (owner-computes 2048²-pixel
-    buckets, tiles duplicated ~1.06×), per-bucket canvas scatter-max,
-    narrow county partials (``stages/mosaic.py``).  Pixel identity,
-    county assignment and the dedup itself are pure int64 arithmetic;
-    hash-checked against a structurally independent global
-    groupby-max oracle (``oracles.ensure_mosaic_oracle``)."""
+    operator: ``stages/mosaic.mosaic_zonal`` with products ``("max",)``
+    — decode once, one bounded spatial shuffle of bucket-owned channel
+    slices, per-bucket region-max canvas, narrow county partials.
+    Pixel identity, county assignment and the dedup itself are pure
+    int64 arithmetic; hash-checked against a structurally independent
+    global groupby-max oracle (``oracles.ensure_mosaic_oracle``)."""
     from ..sources.tiles import read_tiles
     from ..stages.mosaic import mosaic_zonal
 
     return mosaic_zonal(
         read_tiles(
             tiles_path(sf_dir), columns=["image_id", "bytes", "w", "h", "fmt"]
-        )
+        ),
+        ("max",),
     )
 
 
@@ -1307,19 +1308,19 @@ def q_county_mosaic_mean(sf_dir: str):
     """MEAN-composite county mosaic: per-pixel AVERAGE over covering
     tiles (the de-seaming rule when overlapping scenes disagree by
     noise; max is the cloud-free rule) → per-county (n_px, Σ mean).
-    Same decode-once slice exchange as ``county_mosaic`` under
-    root-scoped push shuffle, different per-pixel reduce — region adds
+    ``stages/mosaic.mosaic_zonal`` with products ``("mean",)``: the
+    same decode-once slice exchange as ``county_mosaic``, region adds
     into snapped-lattice sum + count canvases, mean = snap(S/n)
-    (identical IEEE operands both sides)
-    (``stages/mosaic.mosaic_mean_zonal``; independent global
+    (identical IEEE operands both sides; independent global
     groupby-(sum,count) oracle ``oracles.ensure_mosaic_mean_oracle``)."""
     from ..sources.tiles import read_tiles
-    from ..stages.mosaic import mosaic_mean_zonal
+    from ..stages.mosaic import mosaic_zonal
 
-    return mosaic_mean_zonal(
+    return mosaic_zonal(
         read_tiles(
             tiles_path(sf_dir), columns=["image_id", "bytes", "w", "h", "fmt"]
-        )
+        ),
+        ("mean",),
     )
 
 
@@ -1373,20 +1374,20 @@ def _sql_tile_overlap_pairs(n: int) -> str:
 
 
 def q_county_mosaic_sweep(sf_dir: str):
-    """FUSED composite sweep: max + mean county mosaics from ONE
-    decode, ONE slice exchange, ONE canvas pass — the pixel-side analog
-    of the fused-decode curation sweep (the two standalone mosaics pay
-    decode + exchange twice for the same slices).  SQL twin: join of
-    the two independent standalone oracles, so the gate checks the
-    fusion against the composition
-    (``stages/mosaic.mosaic_sweep_zonal``)."""
+    """Composite sweep: max + mean county mosaics from ONE decode, ONE
+    slice exchange, ONE canvas pass (``stages/mosaic.mosaic_zonal``
+    with products ``("max", "mean")``) — the pixel-side analog of the
+    fused-decode curation sweep.  SQL twin: join of the two
+    independent standalone oracles, so the gate checks the shared pass
+    against the composition."""
     from ..sources.tiles import read_tiles
-    from ..stages.mosaic import mosaic_sweep_zonal
+    from ..stages.mosaic import mosaic_zonal
 
-    return mosaic_sweep_zonal(
+    return mosaic_zonal(
         read_tiles(
             tiles_path(sf_dir), columns=["image_id", "bytes", "w", "h", "fmt"]
-        )
+        ),
+        ("max", "mean"),
     )
 
 
@@ -1406,17 +1407,18 @@ def q_county_overlap_depth(sf_dir: str):
     exactly 1 / 2 / ≥3 tiles — the mosaic's QA dashboard (depth-1 area
     has zero redundancy; deep areas waste acquisition; the reference's
     tile-index date pick resolves exactly this multiplicity,
-    ``blob_manager_v3.py:408-435``).  Pure arithmetic: ~40 B slice
-    EXTENTS shuffle (no decode, no payload), per-bucket 2-D difference
-    arrays — O(1) per rectangle + one cumsum
-    (``stages/mosaic.overlap_depth``; independent global
-    pixel-groupby-count oracle ``oracles.ensure_depth_oracle``)."""
+    ``blob_manager_v3.py:408-435``).  ``stages/mosaic.mosaic_zonal``
+    with products ``("depth",)``: pure arithmetic — ~40 B slice EXTENTS
+    shuffle (no decode, no payload), region adds into a per-bucket
+    count canvas (independent global pixel-groupby-count oracle
+    ``oracles.ensure_depth_oracle``)."""
     from ..sources.tiles import read_tiles
-    from ..stages.mosaic import overlap_depth
+    from ..stages.mosaic import mosaic_zonal
 
-    return overlap_depth(
-        read_tiles(tiles_path(sf_dir), columns=["image_id", "w", "h"])
-    )
+    return mosaic_zonal(
+        read_tiles(tiles_path(sf_dir), columns=["image_id", "w", "h"]),
+        ("depth",),
+    ).drop_columns(["n_px"])
 
 
 def q_county_gradient(sf_dir: str):

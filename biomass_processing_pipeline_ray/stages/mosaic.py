@@ -1,5 +1,6 @@
-"""County raster MOSAIC: per-pixel max over overlapping tiles → zonal
-stats on the deduplicated pixel surface.
+"""County raster MOSAIC: overlapping tiles resolved on one absolute
+pixel grid, then reduced to per-county zonal products — all from ONE
+bucket pass.
 
 The reference merges multiple Sentinel-2 scenes covering one county
 before analysis (bulk tile fetch + per-county cache,
@@ -9,9 +10,21 @@ every raster pipeline needs when input scenes overlap.  Our tiles
 genuinely overlap: footprints span ~4–8 lon lattice steps while tile
 centers sit on the 4096² lattice, so at 60k tiles 27.5k overlapping
 pairs share 22.9M pixels (16 % of all pixels), and summing per-tile
-stats (the headline zonal) double-counts them.  The mosaic resolves
-each ABSOLUTE pixel to the max value across covering tiles (max =
-cloud-free composite rule), then aggregates per county.
+stats (the headline zonal) double-counts them.
+
+:func:`mosaic_zonal` serves any subset of three per-pixel products,
+in the spirit of Raptor's one raster⋈vector pass for many zonal
+products:
+
+- ``"max"``: the cloud-free composite — each pixel's max value over
+  its covering tiles → ``mosaic_sum``;
+- ``"mean"``: the de-seaming composite — snap(Σ snap(v) / n) →
+  ``mean_sum``;
+- ``"depth"``: the coverage-depth histogram — pixels seen by exactly
+  1 / 2 / ≥3 tiles → ``d1``, ``d2``, ``d3p`` (no decode at all when
+  asked alone).
+
+Every result row also carries ``n_px``, the county's covered pixels.
 
 Exact integer pixel grid: PIX_DEG = 2^-13 divides both georef lattice
 steps (LON_STEP = 8·PIX_DEG, LAT_STEP = 11·PIX_DEG), so every tile's
@@ -31,31 +44,29 @@ clamping would smear edge tiles into border counties).
 
 Scale shape (owner-computes spatial bucketing, decode-before-shuffle):
 
-1. ``decode_slices`` (stateless ``map_batches``, fused with the read):
-   decode each tile ONCE, and for every 2048×2048-pixel bucket its
-   footprint intersects emit only the bucket-OWNED sub-rectangle as
-   two uint8 blobs (red, nir channels — the minimal exact inputs of
-   the value kernel).  Slices are DISJOINT, so nothing is shipped or
-   decoded twice; the encoded payload, ids and metadata never enter
-   the shuffle at all.  Measured at the 3M-tile ladder this cuts the
-   exchange from 20.2 GB of re-sorted payload (165 s in Ray's sort)
-   to ~13 GB of channel slices and removes the straddler re-decode.
-2. Per-bucket ``map_groups``: v = (nir − red)/(nir + red + 1)
-   (bit-identical to ``stages/decode.py``) per slice, scatter-max into
-   the bucket's OWN canvas — owner-computes, the same discipline as
-   the DBSCAN ghost cells.  Canvas is 2048² float64 = 32 MB, dies in
-   the task.
-3. Bucket partials (≤ |buckets| × 64 narrow rows) → county rollup via
-   lattice-snapped order-free sums.
-
-The ONE spatial exchange is the irreducible cost of mosaicking a
-spatially-unordered table; over the geoindex-partitioned store
-(partitions already spatial) it disappears entirely.
+1. :func:`owner_slices` cuts each tile's in-domain footprint into the
+   sub-rectangles owned by the 2048×2048-pixel buckets it meets.
+   Slices are DISJOINT, so nothing is shipped or decoded twice.
+   :func:`decode_slices` (value products) decodes each tile ONCE and
+   ships only the red and nir channels of each slice — the minimal
+   exact inputs of v = (nir − red)/(nir + red + 1), bit-identical to
+   ``stages/decode.py``; the encoded payload, ids and metadata never
+   enter the shuffle.  :func:`slice_extents` (depth alone) ships the
+   ~40-byte extents only.
+2. :func:`composite_bucket`, one ``map_groups`` task per bucket,
+   allocates only the canvases the products need, cropped to the
+   slices' bounding box: a count canvas (mean, depth), a max canvas
+   (max), a snapped-sum canvas (mean).  Slices are rectangles, so
+   every fill is a region op.  A bucket lies in ONE county column and
+   crosses at most one county-row boundary, so the county reduce runs
+   over ≤ 2 canvas row segments — no per-pixel key array, no groupby.
+3. Bucket partials (≤ |buckets| × 2 narrow rows) → county rollup.
 
 Value snap: ``snap_binary`` AFTER the max — floor-snap is monotonic, so
-snap(max(a, b)) == max(snap(a), snap(b)) and the oracle (global
-groupby-max, structurally independent of the bucketing) lands on the
-identical county sums.
+snap(max(a, b)) == max(snap(a), snap(b)).  Every summed value lies on
+the 2^-20 lattice, so the sums are exact in any order and the oracles
+(global groupby over flat pixel keys, structurally independent of the
+bucketing) land on the identical county sums.
 """
 
 from __future__ import annotations
@@ -77,6 +88,13 @@ NBY = DOMAIN_Y // BUCKET_PX  # 22
 CNTY_PX_X = 4096  # COUNTY_W / PIX_DEG
 CNTY_PX_Y = 5632  # COUNTY_H / PIX_DEG
 
+# product → its output columns, in output order after (county_fips, n_px)
+PRODUCTS = {
+    "max": [("mosaic_sum", pa.float64())],
+    "mean": [("mean_sum", pa.float64())],
+    "depth": [("d1", pa.int64()), ("d2", pa.int64()), ("d3p", pa.int64())],
+}
+
 
 def tile_pixel_extent(ids: np.ndarray, ws: np.ndarray, hs: np.ndarray):
     """Absolute integer pixel extent [ix0, ix1] × [iy0, iy1] (inclusive)
@@ -93,515 +111,205 @@ def tile_pixel_extent(ids: np.ndarray, ws: np.ndarray, hs: np.ndarray):
     return ix0, ix1, iy0, iy1
 
 
-def decode_slices(batch: pa.Table) -> pa.Table:
-    """map_batches body: decode once, emit one (bucket, abs-origin,
-    shape, red-blob, nir-blob) row per bucket-owned sub-rectangle.
+def owner_slices(ix0, ix1, iy0, iy1):
+    """Bucket-owned sub-rectangles of each tile's in-domain footprint,
+    as arrays (tile row, bucket, x_lo, x_hi, y_lo, y_hi), inclusive,
+    in tile order and south→north, west→east within a tile.
 
-    Tiles span ≤ 64 px per axis vs 2048-px buckets, so ≤ 2 buckets per
-    axis; slices are disjoint (each pixel goes to exactly its owner
-    bucket) and out-of-domain pixels are dropped here."""
+    Tiles span ≤ 64 px per axis vs 2048-px buckets, so a tile meets
+    ≤ 2 buckets per axis: its first bucket and the next one.  Each
+    pixel goes to exactly its owner bucket; out-of-domain pixels (and
+    tiles) yield nothing."""
+    x0, x1 = np.maximum(ix0, 0), np.minimum(ix1, DOMAIN_X - 1)
+    y0, y1 = np.maximum(iy0, 0), np.minimum(iy1, DOMAIN_Y - 1)
+    parts = []
+    for dy in (0, 1):
+        by = y0 // BUCKET_PX + dy
+        y_lo = np.maximum(by * BUCKET_PX, y0)
+        y_hi = np.minimum((by + 1) * BUCKET_PX - 1, y1)
+        for dx in (0, 1):
+            bx = x0 // BUCKET_PX + dx
+            x_lo = np.maximum(bx * BUCKET_PX, x0)
+            x_hi = np.minimum((bx + 1) * BUCKET_PX - 1, x1)
+            k = np.flatnonzero((x_lo <= x_hi) & (y_lo <= y_hi))
+            parts.append(
+                (k, by[k] * NBX + bx[k], x_lo[k], x_hi[k], y_lo[k], y_hi[k])
+            )
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")
+    return [c[order] for c in cols]
+
+
+def _slices(batch: pa.Table):
+    """(tile row, slice column 0, slice row 0, extent table) of every
+    owner slice of the batch's tiles; row 0 is the slice's north edge."""
     ids = image_ids_to_int(batch["image_id"])
-    ws = batch["w"].to_numpy()
-    hs = batch["h"].to_numpy()
-    ix0s, ix1s, iy0s, iy1s = tile_pixel_extent(ids, ws, hs)
-    bufs = batch["bytes"].to_pylist()
-    fmts = batch["fmt"].to_pylist()
-    o_bucket: list[int] = []
-    o_ax: list[int] = []  # abs ix of slice col 0
-    o_ay: list[int] = []  # abs iy of slice row 0 (northmost)
-    o_w: list[int] = []
-    o_h: list[int] = []
-    o_red: list[bytes] = []
-    o_nir: list[bytes] = []
-    for k in range(len(ids)):
-        w, h = int(ws[k]), int(hs[k])
-        ix0, ix1 = int(ix0s[k]), int(ix1s[k])
-        iy0, iy1 = int(iy0s[k]), int(iy1s[k])
-        if ix1 < 0 or ix0 >= DOMAIN_X or iy1 < 0 or iy0 >= DOMAIN_Y:
-            continue
-        px = codecs.decode(bufs[k], fmts[k], h, w)
-        red = np.ascontiguousarray(px[:, :, 0])
-        nir = np.ascontiguousarray(px[:, :, 2])
-        bx_lo = max(ix0, 0) // BUCKET_PX
-        bx_hi = min(ix1, DOMAIN_X - 1) // BUCKET_PX
-        byr_lo = max(iy0, 0) // BUCKET_PX
-        byr_hi = min(iy1, DOMAIN_Y - 1) // BUCKET_PX
-        for by in range(byr_lo, byr_hi + 1):
-            # rows r with iy = iy1 - r inside [by*B, (by+1)*B) ∩ [0, DY)
-            y_hi = min((by + 1) * BUCKET_PX - 1, iy1, DOMAIN_Y - 1)
-            y_lo = max(by * BUCKET_PX, iy0, 0)
-            r0 = iy1 - y_hi  # northmost row of the slice
-            r1 = iy1 - y_lo  # southmost row (inclusive)
-            for bx in range(bx_lo, bx_hi + 1):
-                x_lo = max(bx * BUCKET_PX, ix0, 0)
-                x_hi = min((bx + 1) * BUCKET_PX - 1, ix1, DOMAIN_X - 1)
-                c0 = x_lo - ix0
-                c1 = x_hi - ix0  # inclusive
-                o_bucket.append(by * NBX + bx)
-                o_ax.append(x_lo)
-                o_ay.append(y_hi)
-                o_w.append(c1 - c0 + 1)
-                o_h.append(r1 - r0 + 1)
-                o_red.append(red[r0 : r1 + 1, c0 : c1 + 1].tobytes())
-                o_nir.append(nir[r0 : r1 + 1, c0 : c1 + 1].tobytes())
-    return pa.table(
+    ix0, ix1, iy0, iy1 = tile_pixel_extent(
+        ids, batch["w"].to_numpy(), batch["h"].to_numpy()
+    )
+    k, bucket, x_lo, x_hi, y_lo, y_hi = owner_slices(ix0, ix1, iy0, iy1)
+    ext = pa.table(
         {
-            "bucket": pa.array(o_bucket, pa.int64()),
-            "ax": pa.array(o_ax, pa.int32()),
-            "ay": pa.array(o_ay, pa.int32()),
-            "sw": pa.array(o_w, pa.int32()),
-            "sh": pa.array(o_h, pa.int32()),
-            "red": pa.array(o_red, pa.binary()),
-            "nir": pa.array(o_nir, pa.binary()),
+            "bucket": pa.array(bucket, pa.int64()),
+            "ax": pa.array(x_lo, pa.int32()),  # abs ix of slice col 0
+            "ay": pa.array(y_hi, pa.int32()),  # abs iy of slice row 0
+            "sw": pa.array(x_hi - x_lo + 1, pa.int32()),
+            "sh": pa.array(y_hi - y_lo + 1, pa.int32()),
         }
     )
-
-
-def mosaic_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body: scatter-max the bucket's slices into a canvas
-    CROPPED to the slices' bounding box (identical result; cost and
-    memory ∝ occupied area, so sparse buckets — tiny inputs, domain
-    fringes — don't pay the full 2048² fixed cost), reduce to
-    per-county partials."""
-    axs = df["ax"].to_numpy().astype(np.int64)
-    ays = df["ay"].to_numpy().astype(np.int64)
-    sws = df["sw"].to_numpy().astype(np.int64)
-    shs = df["sh"].to_numpy().astype(np.int64)
-    cx0 = int(axs.min())
-    cx1 = int((axs + sws - 1).max())
-    cy1 = int(ays.max())  # northmost iy
-    cy0 = int((ays - shs + 1).min())  # southmost iy
-    W = cx1 - cx0 + 1
-    H = cy1 - cy0 + 1
-    canvas = np.full((H, W), -np.inf, dtype=np.float64)
-    reds = df["red"].tolist()
-    nirs = df["nir"].tolist()
-    for k in range(len(df)):
-        sw, sh = int(sws[k]), int(shs[k])
-        red = np.frombuffer(reds[k], np.uint8).reshape(sh, sw)
-        nir = np.frombuffer(nirs[k], np.uint8).reshape(sh, sw)
-        v = (nir.astype(np.float64) - red) / (
-            nir.astype(np.float64) + red + 1.0
-        )
-        # slices are contiguous RECTANGLES on the canvas — a plain 2-D
-        # region max, not a scatter (np.maximum.at was the stage's CPU
-        # hog: ~10 M px/s unbuffered vs memory-speed region ops)
-        r0 = cy1 - int(ays[k])  # slice row 0 (north edge) in canvas rows
-        c0 = int(axs[k]) - cx0
-        reg = canvas[r0 : r0 + sh, c0 : c0 + sw]
-        np.maximum(reg, v, out=reg)
-    canvas = canvas.ravel()
-    idx = np.flatnonzero(canvas > -np.inf)
-    if len(idx) == 0:
-        return pd.DataFrame(
-            {"county_fips": pd.Series([], dtype=str),
-             "n_px": pd.Series([], dtype=np.int64),
-             "val_sum": pd.Series([], dtype=np.float64)}
-        )
-    iy = cy1 - idx // W
-    ix = cx0 + idx % W
-    code = G.FIPS_BASE + (iy // CNTY_PX_Y) * G.COUNTY_NX + ix // CNTY_PX_X
-    vals = snap_binary(canvas[idx])
-    g = pd.DataFrame({"c": code, "v": vals}).groupby("c", sort=True)
-    agg = g.agg(n_px=("v", "size"), val_sum=("v", "sum")).reset_index()
-    return pd.DataFrame(
-        {
-            "county_fips": agg["c"].astype(np.int64).astype(str).str.zfill(5),
-            "n_px": agg["n_px"].to_numpy(np.int64),
-            "val_sum": agg["val_sum"].to_numpy(np.float64),
-        }
-    )
-
-
-def _push_shuffled_buckets(ds, bucket_fn):
-    """decode → slice → per-bucket canvas pass over ``ds``, with the
-    bucket exchange on the push-based shuffle.
-
-    Ray runs a plan with the DataContext captured at the ROOT dataset's
-    creation (scoping only the groupby construction does not reach the
-    sort — measured: the root-scoped form runs the 3M-tile exchange in
-    86–99 s vs 182–187 s pull-based / groupby-scoped; sf0.1 unchanged
-    ±10 %), so the flag goes on ``ds.context``: the per-dataset copy
-    every derived dataset shares.  The process-global context is left
-    untouched.  Push-based pipelines map-side merge with reduce — also
-    the multi-node-correct choice for the one large exchange here."""
-    ds.context.use_push_based_shuffle = True
-    return (
-        ds.map_batches(decode_slices, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
-
-
-def mosaic_zonal(ds):
-    """tiles Dataset → 64-row (county_fips, n_px, mosaic_sum)."""
-    from .zonal import bucketed_agg
-
-    parts = _push_shuffled_buckets(ds, mosaic_bucket)
-    out = bucketed_agg(
-        parts,
-        ["county_fips"],
-        {"n_px": ("n_px", "sum"), "val_sum": ("val_sum", "sum")},
-        nb=16,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "n_px": pa.array(
-                    b["n_px"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "mosaic_sum": pa.array(
-                    round_away(b["val_sum"].to_numpy(), 6), pa.float64()
-                ),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return k, x_lo - ix0[k], iy1[k] - y_hi, ext
 
 
 def slice_extents(batch: pa.Table) -> pa.Table:
-    """Narrow twin of :func:`decode_slices`: bucket-owned sub-rectangle
-    EXTENTS only — no decode, no payload (coverage depth needs counts,
-    not values), so the exchange is ~40 bytes per slice."""
-    ids = image_ids_to_int(batch["image_id"])
-    ws = batch["w"].to_numpy()
-    hs = batch["h"].to_numpy()
-    ix0s, ix1s, iy0s, iy1s = tile_pixel_extent(ids, ws, hs)
-    o_bucket: list[int] = []
-    o_ax: list[int] = []
-    o_ay: list[int] = []
-    o_w: list[int] = []
-    o_h: list[int] = []
-    for k in range(len(ids)):
-        ix0, ix1 = int(ix0s[k]), int(ix1s[k])
-        iy0, iy1 = int(iy0s[k]), int(iy1s[k])
-        if ix1 < 0 or ix0 >= DOMAIN_X or iy1 < 0 or iy0 >= DOMAIN_Y:
-            continue
-        bx_lo = max(ix0, 0) // BUCKET_PX
-        bx_hi = min(ix1, DOMAIN_X - 1) // BUCKET_PX
-        by_lo = max(iy0, 0) // BUCKET_PX
-        by_hi = min(iy1, DOMAIN_Y - 1) // BUCKET_PX
-        for by in range(by_lo, by_hi + 1):
-            y_hi = min((by + 1) * BUCKET_PX - 1, iy1, DOMAIN_Y - 1)
-            y_lo = max(by * BUCKET_PX, iy0, 0)
-            for bx in range(bx_lo, bx_hi + 1):
-                x_lo = max(bx * BUCKET_PX, ix0, 0)
-                x_hi = min((bx + 1) * BUCKET_PX - 1, ix1, DOMAIN_X - 1)
-                o_bucket.append(by * NBX + bx)
-                o_ax.append(x_lo)
-                o_ay.append(y_hi)
-                o_w.append(x_hi - x_lo + 1)
-                o_h.append(y_hi - y_lo + 1)
-    return pa.table(
-        {
-            "bucket": pa.array(o_bucket, pa.int64()),
-            "ax": pa.array(o_ax, pa.int32()),
-            "ay": pa.array(o_ay, pa.int32()),
-            "sw": pa.array(o_w, pa.int32()),
-            "sh": pa.array(o_h, pa.int32()),
-        }
+    """map_batches body for depth alone: slice extents only — no
+    decode, no payload, ~40 bytes per slice through the exchange."""
+    return _slices(batch)[3]
+
+
+def decode_slices(batch: pa.Table) -> pa.Table:
+    """map_batches body for the value products: decode each tile once
+    and attach each owner slice's red and nir channels as uint8 blobs."""
+    k, c0, r0, ext = _slices(batch)
+    bufs = batch["bytes"].to_pylist()
+    fmts = batch["fmt"].to_pylist()
+    ws = batch["w"].to_pylist()
+    hs = batch["h"].to_pylist()
+    reds: list[bytes] = []
+    nirs: list[bytes] = []
+    last = -1
+    for t, c, r, w, h in zip(
+        k.tolist(), c0.tolist(), r0.tolist(),
+        ext["sw"].to_pylist(), ext["sh"].to_pylist(),
+    ):
+        if t != last:  # a tile's slices are adjacent: decode it once
+            px = codecs.decode(bufs[t], fmts[t], hs[t], ws[t])
+            red = np.ascontiguousarray(px[:, :, 0])
+            nir = np.ascontiguousarray(px[:, :, 2])
+            last = t
+        reds.append(red[r : r + h, c : c + w].tobytes())
+        nirs.append(nir[r : r + h, c : c + w].tobytes())
+    return ext.append_column("red", pa.array(reds, pa.binary())).append_column(
+        "nir", pa.array(nirs, pa.binary())
     )
 
 
-def depth_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body: 2-D difference array over the bucket canvas
-    CROPPED to the slices' bounding box (identical result; cost ∝
-    occupied area) — O(1) per rectangle (4 corner increments) + one
-    double cumsum — then per-county coverage-depth band counts
-    (1 / 2 / ≥3 tiles)."""
-    axs = df["ax"].to_numpy().astype(np.int64)
-    ays = df["ay"].to_numpy().astype(np.int64)
+def composite_bucket(df: pd.DataFrame, products: tuple[str, ...]) -> pd.DataFrame:
+    """map_groups body: fill the canvases ``products`` need from the
+    bucket's slices, then reduce each county row segment to one
+    partial row (county_fips, n_px, product columns)."""
+    ax = df["ax"].to_numpy().astype(np.int64)
+    ay = df["ay"].to_numpy().astype(np.int64)
     sw = df["sw"].to_numpy().astype(np.int64)
     sh = df["sh"].to_numpy().astype(np.int64)
-    cx0 = int(axs.min())
-    cy1 = int(ays.max())  # northmost iy (canvas row 0)
-    cy0 = int((ays - sh + 1).min())
-    W = int((axs + sw - 1).max()) - cx0 + 1
-    H = cy1 - cy0 + 1
-    diff = np.zeros((H + 1, W + 1), dtype=np.int32)
-    c0 = axs - cx0
-    r0 = cy1 - ays
-    # rows grow southward in canvas space: slice row 0 is its NORTH
-    # edge (ay); canvas row index = cy1 − iy
-    np.add.at(diff, (r0, c0), 1)
-    np.add.at(diff, (r0, c0 + sw), -1)
-    np.add.at(diff, (r0 + sh, c0), -1)
-    np.add.at(diff, (r0 + sh, c0 + sw), 1)
-    cnt = diff.cumsum(axis=0).cumsum(axis=1)[:H, :W]
-    # a 2048-px bucket sits inside exactly ONE county column (4096 =
-    # 2 buckets) and crosses at most one county ROW boundary (5632 px)
-    # — both facts survive cropping (bbox ⊆ bucket) — so the
-    # per-county reduce is ≤ 2 contiguous row-slice bincounts:
-    # no per-pixel key array, no pandas groupby over canvas pixels
-    cx = cx0 // CNTY_PX_X
-    segs: list[tuple[int, int, int]] = []  # (cy, r_start, r_stop_excl)
-    cy_top = cy1 // CNTY_PX_Y
-    cy_bot = cy0 // CNTY_PX_Y
-    if cy_top == cy_bot:
-        segs.append((cy_top, 0, H))
-    else:
-        split_iy = cy_top * CNTY_PX_Y  # lowest iy of the upper county
-        r_split = cy1 - split_iy + 1
-        segs.append((cy_top, 0, r_split))
-        segs.append((cy_bot, r_split, H))
-    out_c: list[str] = []
-    out_b: list[np.ndarray] = []
-    for cy, r0, r1 in segs:
-        bc = np.bincount(
-            np.minimum(cnt[r0:r1, :], 3).ravel(), minlength=4
-        ).astype(np.int64)
-        if bc[1:].sum() == 0:
+    cx0, cy1 = int(ax.min()), int(ay.max())  # canvas row 0 = northmost iy
+    cy0 = int((ay - sh + 1).min())
+    H, W = cy1 - cy0 + 1, int((ax + sw).max()) - cx0
+    r0, c0 = cy1 - ay, ax - cx0
+    counted = "mean" in products or "depth" in products
+    cnt = np.zeros((H, W), np.int32) if counted else None
+    mx = np.full((H, W), -np.inf) if "max" in products else None
+    sm = np.zeros((H, W)) if "mean" in products else None
+    valued = mx is not None or sm is not None
+    if valued:
+        reds, nirs = df["red"].tolist(), df["nir"].tolist()
+    for k, (r, c, h, w) in enumerate(
+        zip(r0.tolist(), c0.tolist(), sh.tolist(), sw.tolist())
+    ):
+        win = np.s_[r : r + h, c : c + w]
+        if counted:
+            cnt[win] += 1
+        if not valued:
             continue
-        out_c.append(f"{G.FIPS_BASE + cy * G.COUNTY_NX + cx:05d}")
-        out_b.append(bc[1:4])
-    if not out_c:
-        return pd.DataFrame(
-            {"county_fips": pd.Series([], dtype=str),
-             "d1": pd.Series([], dtype=np.int64),
-             "d2": pd.Series([], dtype=np.int64),
-             "d3p": pd.Series([], dtype=np.int64)}
-        )
-    bands = np.stack(out_b)
-    return pd.DataFrame(
-        {
-            "county_fips": out_c,
-            "d1": bands[:, 0],
-            "d2": bands[:, 1],
-            "d3p": bands[:, 2],
-        }
-    )
+        red = np.frombuffer(reds[k], np.uint8).reshape(h, w)
+        nir = np.frombuffer(nirs[k], np.uint8).reshape(h, w)
+        v = (nir.astype(np.float64) - red) / (nir.astype(np.float64) + red + 1.0)
+        if mx is not None:
+            np.maximum(mx[win], v, out=mx[win])
+        if sm is not None:
+            sm[win] += snap_binary(v)
+    # the canvas lies in one county column (4096 px = 2 buckets) and
+    # crosses at most one county-row boundary (5632 px > 2048)
+    top, bot = cy1 // CNTY_PX_Y, cy0 // CNTY_PX_Y
+    split = cy1 - top * CNTY_PX_Y + 1 if top != bot else H
+    rows = []
+    for cy, seg in ((bot, np.s_[split:]), (top, np.s_[:split])):
+        covered = cnt[seg] > 0 if counted else mx[seg] > -np.inf
+        n = int(np.count_nonzero(covered))
+        if n == 0:
+            continue
+        row = [f"{G.FIPS_BASE + cy * G.COUNTY_NX + cx0 // CNTY_PX_X:05d}", n]
+        if mx is not None:
+            row.append(snap_binary(mx[seg][covered]).sum())
+        if sm is not None:
+            row.append(snap_binary(sm[seg][covered] / cnt[seg][covered]).sum())
+        if "depth" in products:
+            d1 = np.count_nonzero(cnt[seg] == 1)
+            d2 = np.count_nonzero(cnt[seg] == 2)
+            row += [d1, d2, n - d1 - d2]
+        rows.append(row)
+    cols = ["county_fips", "n_px"] + [c for p in products for c, _ in PRODUCTS[p]]
+    return pd.DataFrame(rows, columns=cols)
 
 
-def overlap_depth(ds):
-    """tiles Dataset → 64-row (county_fips, d1, d2, d3p) coverage-depth
-    histogram: how much of each county's covered surface is seen by
-    exactly 1 / 2 / ≥3 tiles — the mosaic's QA dashboard (depth-1 area
-    has no redundancy; deep areas waste acquisition).  Same
-    owner-computes buckets as the mosaic but the exchange is ~40 B
-    slice extents (no decode, no payload) — arithmetic end-to-end.
+def mosaic_zonal(ds, products):
+    """tiles Dataset → one row per covered county: ``county_fips``,
+    ``n_px`` and the columns of each requested product, from one
+    decode (if any), one bucket exchange and one canvas pass.
+    ``products`` is a non-empty subset of :data:`PRODUCTS`.  An empty
+    input gives a typed empty result.
 
-    The extent rows COALESCE to 32 blocks before the bucket groupby:
-    the table is tiny (~12 B/tile), but Ray's sort scales its barrier
-    with input-block COUNT, and upstream produces one block per read
-    task (measured at the 3M-tile ladder: 733 blocks → 55 s sort wall
-    on 75 MB with ~9 s of remote time; 32 blocks → seconds)."""
+    The exchange depends on whether pixel values travel:
+
+    - decoded slices go through the push-based shuffle, set on
+      ``ds.context``.  Ray runs a plan with the DataContext captured at
+      the ROOT dataset's creation, so scoping only the groupby does not
+      reach the sort (measured: the root-scoped form runs the 3M-tile
+      exchange in 86–99 s vs 182–187 s pull-based / groupby-scoped).
+      The process-global context is left untouched;
+    - extent-only slices coalesce to 32 blocks first: the table is tiny
+      (~12 B/tile), but Ray's sort scales its barrier with input-block
+      COUNT (3M tiles: 733 blocks → 55 s sort wall on 75 MB; 32 blocks
+      → seconds)."""
+    import ray.data as rd
+    from ray.data.context import ShuffleStrategy
+
     from .zonal import bucketed_agg
 
-    parts = (
-        ds.map_batches(slice_extents, batch_format="pyarrow")
-        .repartition(32)
-        .groupby("bucket")
-        .map_groups(depth_bucket, batch_format="pandas")
+    if not products or set(products) - PRODUCTS.keys():
+        raise ValueError(
+            f"products must be a non-empty subset of {tuple(PRODUCTS)}, "
+            f"not {products!r}"
+        )
+    products = tuple(p for p in PRODUCTS if p in products)
+    schema = pa.schema(
+        [("county_fips", pa.string()), ("n_px", pa.int64())]
+        + [f for p in products for f in PRODUCTS[p]]
     )
-    out = bucketed_agg(
-        parts,
-        ["county_fips"],
-        {"d1": ("d1", "sum"), "d2": ("d2", "sum"), "d3p": ("d3p", "sum")},
-        nb=16,
+    sums = schema.names[1:]
+    if "max" in products or "mean" in products:
+        ds.context.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+        slices = ds.map_batches(decode_slices, batch_format="pyarrow")
+    else:
+        slices = ds.map_batches(slice_extents, batch_format="pyarrow")
+        slices = slices.repartition(32)
+    parts = slices.groupby("bucket").map_groups(
+        composite_bucket, fn_kwargs={"products": products}, batch_format="pandas"
     )
+    out = bucketed_agg(parts, ["county_fips"], {c: (c, "sum") for c in sums}, nb=16)
 
     def finalize(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "d1": pa.array(b["d1"].to_numpy().astype(np.int64)),
-                "d2": pa.array(b["d2"].to_numpy().astype(np.int64)),
-                "d3p": pa.array(b["d3p"].to_numpy().astype(np.int64)),
-            }
-        )
+        cols = {"county_fips": b["county_fips"]}
+        for c in sums:
+            x = b[c].to_numpy()
+            floaty = schema.field(c).type == pa.float64()
+            cols[c] = round_away(x, 6) if floaty else x.astype(np.int64)
+        return pa.table(cols, schema=schema)
 
-    return out.map_batches(finalize, batch_format="pyarrow")
-
-
-def mosaic_mean_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body for the MEAN composite: region-add a snapped
-    value canvas and a count canvas (both bbox-cropped), per-pixel
-    mean = snap(Σ snap(v) / n) — the snapped-lattice sum is exact in
-    any accumulation order and the division's operands are identical
-    on both sides, so the statistic is bit-reproducible — then
-    per-county (n_px, Σ mean) partials."""
-    axs = df["ax"].to_numpy().astype(np.int64)
-    ays = df["ay"].to_numpy().astype(np.int64)
-    sws = df["sw"].to_numpy().astype(np.int64)
-    shs = df["sh"].to_numpy().astype(np.int64)
-    cx0 = int(axs.min())
-    cx1 = int((axs + sws - 1).max())
-    cy1 = int(ays.max())
-    cy0 = int((ays - shs + 1).min())
-    W = cx1 - cx0 + 1
-    H = cy1 - cy0 + 1
-    sumc = np.zeros((H, W), dtype=np.float64)
-    cntc = np.zeros((H, W), dtype=np.int32)
-    reds = df["red"].tolist()
-    nirs = df["nir"].tolist()
-    for k in range(len(df)):
-        sw, sh = int(sws[k]), int(shs[k])
-        red = np.frombuffer(reds[k], np.uint8).reshape(sh, sw)
-        nir = np.frombuffer(nirs[k], np.uint8).reshape(sh, sw)
-        v = snap_binary(
-            (nir.astype(np.float64) - red)
-            / (nir.astype(np.float64) + red + 1.0)
-        )
-        r0 = cy1 - int(ays[k])
-        c0 = int(axs[k]) - cx0
-        sumc[r0 : r0 + sh, c0 : c0 + sw] += v
-        cntc[r0 : r0 + sh, c0 : c0 + sw] += 1
-    cnt = cntc.ravel()
-    idx = np.flatnonzero(cnt)
-    if len(idx) == 0:
-        return pd.DataFrame(
-            {"county_fips": pd.Series([], dtype=str),
-             "n_px": pd.Series([], dtype=np.int64),
-             "val_sum": pd.Series([], dtype=np.float64)}
-        )
-    mean = snap_binary(sumc.ravel()[idx] / cnt[idx])
-    iy = cy1 - idx // W
-    ix = cx0 + idx % W
-    code = G.FIPS_BASE + (iy // CNTY_PX_Y) * G.COUNTY_NX + ix // CNTY_PX_X
-    g = pd.DataFrame({"c": code, "v": mean}).groupby("c", sort=True)
-    agg = g.agg(n_px=("v", "size"), val_sum=("v", "sum")).reset_index()
-    return pd.DataFrame(
-        {
-            "county_fips": agg["c"].astype(np.int64).astype(str).str.zfill(5),
-            "n_px": agg["n_px"].to_numpy(np.int64),
-            "val_sum": agg["val_sum"].to_numpy(np.float64),
-        }
+    # an empty input runs no group, so the result would have no schema;
+    # the typed empty block gives it ``schema`` in every case
+    return out.map_batches(finalize, batch_format="pyarrow").union(
+        rd.from_arrow(schema.empty_table())
     )
-
-
-def mosaic_mean_zonal(ds):
-    """MEAN-composite twin of :func:`mosaic_zonal` (same decode-once
-    slice exchange under root-scoped push shuffle, different per-pixel
-    reduce: average over covering tiles instead of max — the
-    de-seaming rule when overlapping scenes disagree by noise)."""
-    from .zonal import bucketed_agg
-
-    parts = _push_shuffled_buckets(ds, mosaic_mean_bucket)
-    out = bucketed_agg(
-        parts,
-        ["county_fips"],
-        {"n_px": ("n_px", "sum"), "val_sum": ("val_sum", "sum")},
-        nb=16,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "n_px": pa.array(
-                    b["n_px"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "mean_sum": pa.array(
-                    round_away(b["val_sum"].to_numpy(), 6), pa.float64()
-                ),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
-
-
-def mosaic_sweep_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body for the FUSED composite sweep: ONE pass over the
-    bucket's slices fills max, snapped-sum and count canvases together
-    (region ops, bbox-cropped) → per-county (n_px, Σ max, Σ mean)
-    partials.  One decode + one exchange + one canvas pass instead of
-    two full standalone mosaics."""
-    axs = df["ax"].to_numpy().astype(np.int64)
-    ays = df["ay"].to_numpy().astype(np.int64)
-    sws = df["sw"].to_numpy().astype(np.int64)
-    shs = df["sh"].to_numpy().astype(np.int64)
-    cx0 = int(axs.min())
-    cx1 = int((axs + sws - 1).max())
-    cy1 = int(ays.max())
-    cy0 = int((ays - shs + 1).min())
-    W = cx1 - cx0 + 1
-    H = cy1 - cy0 + 1
-    maxc = np.full((H, W), -np.inf, dtype=np.float64)
-    sumc = np.zeros((H, W), dtype=np.float64)
-    cntc = np.zeros((H, W), dtype=np.int32)
-    reds = df["red"].tolist()
-    nirs = df["nir"].tolist()
-    for k in range(len(df)):
-        sw, sh = int(sws[k]), int(shs[k])
-        red = np.frombuffer(reds[k], np.uint8).reshape(sh, sw)
-        nir = np.frombuffer(nirs[k], np.uint8).reshape(sh, sw)
-        v = (nir.astype(np.float64) - red) / (
-            nir.astype(np.float64) + red + 1.0
-        )
-        r0 = cy1 - int(ays[k])
-        c0 = int(axs[k]) - cx0
-        reg = maxc[r0 : r0 + sh, c0 : c0 + sw]
-        np.maximum(reg, v, out=reg)
-        sumc[r0 : r0 + sh, c0 : c0 + sw] += snap_binary(v)
-        cntc[r0 : r0 + sh, c0 : c0 + sw] += 1
-    cnt = cntc.ravel()
-    idx = np.flatnonzero(cnt)
-    if len(idx) == 0:
-        return pd.DataFrame(
-            {"county_fips": pd.Series([], dtype=str),
-             "n_px": pd.Series([], dtype=np.int64),
-             "max_sum": pd.Series([], dtype=np.float64),
-             "mean_sum": pd.Series([], dtype=np.float64)}
-        )
-    vmax = snap_binary(maxc.ravel()[idx])
-    vmean = snap_binary(sumc.ravel()[idx] / cnt[idx])
-    iy = cy1 - idx // W
-    ix = cx0 + idx % W
-    code = G.FIPS_BASE + (iy // CNTY_PX_Y) * G.COUNTY_NX + ix // CNTY_PX_X
-    g = pd.DataFrame({"c": code, "mx": vmax, "mn": vmean}).groupby(
-        "c", sort=True
-    )
-    agg = g.agg(
-        n_px=("mx", "size"), max_sum=("mx", "sum"), mean_sum=("mn", "sum")
-    ).reset_index()
-    return pd.DataFrame(
-        {
-            "county_fips": agg["c"].astype(np.int64).astype(str).str.zfill(5),
-            "n_px": agg["n_px"].to_numpy(np.int64),
-            "max_sum": agg["max_sum"].to_numpy(np.float64),
-            "mean_sum": agg["mean_sum"].to_numpy(np.float64),
-        }
-    )
-
-
-def mosaic_sweep_zonal(ds):
-    """FUSED composite sweep: max + mean county mosaics from ONE decode,
-    ONE slice exchange, ONE canvas pass — the pixel-side analog of the
-    fused-decode curation sweep (two standalone mosaics pay the decode
-    and the push-shuffled exchange twice for the same slices)."""
-    from .zonal import bucketed_agg
-
-    parts = _push_shuffled_buckets(ds, mosaic_sweep_bucket)
-    out = bucketed_agg(
-        parts,
-        ["county_fips"],
-        {
-            "n_px": ("n_px", "sum"),
-            "max_sum": ("max_sum", "sum"),
-            "mean_sum": ("mean_sum", "sum"),
-        },
-        nb=16,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "n_px": pa.array(
-                    b["n_px"].to_numpy().astype(np.int64), pa.int64()
-                ),
-                "mosaic_sum": pa.array(
-                    round_away(b["max_sum"].to_numpy(), 6), pa.float64()
-                ),
-                "mean_sum": pa.array(
-                    round_away(b["mean_sum"].to_numpy(), 6), pa.float64()
-                ),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
 
 
 OVL_BUCKET = 512  # overlap-join bucket edge in px (footprints ≤ 64 px)

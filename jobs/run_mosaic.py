@@ -4,11 +4,13 @@ the scene-merge QA job (``ray job submit`` shape, like run_zonal):
     ray job submit --working-dir . -- \\
         python jobs/run_mosaic.py --tiles /data/tiles --out /data/mosaic_out
 
-Runs the per-pixel-max county mosaic (decode-once slice shipping,
-owner-computes bucket canvases, push-based shuffle) and the
-no-decode coverage-depth histogram over the same table, writes both
-64-row frames as parquet under --out (temp-dir + atomic swap; a re-run
-REPLACES the previous output), and prints a one-line JSON summary.
+Runs the per-pixel-max county mosaic and the coverage-depth histogram
+as ONE ``mosaic_zonal(ds, ("max", "depth"))`` pass (decode-once slice
+shipping, owner-computes bucket canvases, push-based shuffle), writes
+the two 64-row frames as parquet under --out/mosaic and --out/depth
+(temp-dir + atomic swap; a re-run REPLACES the previous output), and
+prints a one-line JSON summary.  ``mosaic_sec`` times the shared pass
+plus the mosaic write; ``depth_sec`` times the depth write alone.
 """
 
 from __future__ import annotations
@@ -46,21 +48,18 @@ def main(argv: list[str] | None = None) -> int:
         ray.init(include_dashboard=False)  # cluster: address from env
 
     from biomass_processing_pipeline_ray.sources.tiles import read_tiles
-    from biomass_processing_pipeline_ray.stages.mosaic import (
-        mosaic_zonal,
-        overlap_depth,
-    )
+    from biomass_processing_pipeline_ray.stages.mosaic import mosaic_zonal
 
     os.makedirs(args.out, exist_ok=True)
     t0 = time.time()
-    mos = mosaic_zonal(
-        read_tiles(
-            args.tiles, columns=["image_id", "bytes", "w", "h", "fmt"]
-        )
-    )
+    both = mosaic_zonal(
+        read_tiles(args.tiles, columns=["image_id", "bytes", "w", "h", "fmt"]),
+        ("max", "depth"),
+    ).materialize()
+    mos = both.select_columns(["county_fips", "n_px", "mosaic_sum"])
     _swap_write(mos, os.path.join(args.out, "mosaic"))
     t1 = time.time()
-    dep = overlap_depth(read_tiles(args.tiles, columns=["image_id", "w", "h"]))
+    dep = both.select_columns(["county_fips", "d1", "d2", "d3p"])
     _swap_write(dep, os.path.join(args.out, "depth"))
     t2 = time.time()
 

@@ -159,7 +159,7 @@ def test_mosaic_zonal_overlap_and_bucket_straddle(rd, ray_session):
     )
 
     got = (
-        mosaic_zonal(rd.from_arrow(tbl))
+        mosaic_zonal(rd.from_arrow(tbl), ("max",))
         .to_pandas()
         .sort_values("county_fips")
         .reset_index(drop=True)
@@ -232,7 +232,7 @@ def test_overlap_depth_vs_bruteforce(rd, ray_session):
         tile_dims,
     )
     from biomass_processing_pipeline_ray.stages.mosaic import (
-        overlap_depth,
+        mosaic_zonal,
         tile_pixel_extent,
     )
 
@@ -255,7 +255,8 @@ def test_overlap_depth_vs_bruteforce(rd, ray_session):
     ids = np.asarray(sorted(pick), dtype=np.int64)
     tbl = gen_tiles_batch(ids)
     got = (
-        overlap_depth(rd.from_arrow(tbl))
+        mosaic_zonal(rd.from_arrow(tbl), ("depth",))
+        .drop_columns(["n_px"])
         .to_pandas()
         .sort_values("county_fips")
         .reset_index(drop=True)
@@ -325,7 +326,7 @@ def test_mosaic_mean_vs_bruteforce(rd, ray_session):
         tile_dims,
     )
     from biomass_processing_pipeline_ray.stages.mosaic import (
-        mosaic_mean_zonal,
+        mosaic_zonal,
         tile_pixel_extent,
     )
 
@@ -348,7 +349,7 @@ def test_mosaic_mean_vs_bruteforce(rd, ray_session):
     ids = np.asarray(sorted(pick), dtype=np.int64)
     tbl = gen_tiles_batch(ids)
     got = (
-        mosaic_mean_zonal(rd.from_arrow(tbl))
+        mosaic_zonal(rd.from_arrow(tbl), ("mean",))
         .to_pandas()
         .sort_values("county_fips")
         .reset_index(drop=True)
@@ -474,24 +475,52 @@ def test_overlap_pairs_dense_window_and_negative_cells(rd, ray_session):
 
 
 def test_mosaic_kernels_leave_global_context(rd, ray_session):
-    """The mosaic kernels put the push-based shuffle on their input's
-    own DataContext: the exchange runs push-based (its SortMerge stage
-    shows in the stats) and the process-global context that later
-    queries inherit is left as it was."""
+    """The value-product mosaics put the push-based shuffle on their
+    input's own DataContext: the exchange runs push-based (its
+    SortMerge stage shows in the stats) and the process-global context
+    that later queries inherit is left as it was."""
     from ray.data import DataContext
 
     from biomass_processing_pipeline_ray.sources.tiles import gen_tiles_batch
-    from biomass_processing_pipeline_ray.stages.mosaic import (
-        mosaic_mean_zonal,
-        mosaic_sweep_zonal,
-        mosaic_zonal,
-    )
+    from biomass_processing_pipeline_ray.stages.mosaic import mosaic_zonal
 
     tbl = gen_tiles_batch(np.arange(64, dtype=np.int64))
     ctx = DataContext.get_current()
     before = ctx.use_push_based_shuffle
-    for kernel in (mosaic_zonal, mosaic_mean_zonal, mosaic_sweep_zonal):
-        out = kernel(rd.from_arrow(tbl)).materialize()
+    strategy = ctx.shuffle_strategy
+    for products in (("max",), ("mean",), ("max", "mean"), ("max", "depth")):
+        out = mosaic_zonal(rd.from_arrow(tbl), products).materialize()
         assert DataContext.get_current() is ctx
         assert ctx.use_push_based_shuffle == before
+        assert ctx.shuffle_strategy == strategy
         assert "SortMerge" in out.stats()
+
+
+@pytest.mark.parametrize(
+    "products",
+    [("max",), ("mean",), ("max", "mean"), ("depth",)],
+    ids="+".join,
+)
+def test_mosaic_zonal_empty_input_is_typed(rd, ray_session, products):
+    """An empty tile table gives zero rows and a schema with every
+    output column typed: county_fips string, n_px int64, and the
+    products' columns."""
+    import pyarrow as pa
+
+    from biomass_processing_pipeline_ray.sources.tiles import gen_tiles_batch
+    from biomass_processing_pipeline_ray.stages.mosaic import mosaic_zonal
+
+    empty = rd.from_arrow(gen_tiles_batch(np.arange(4, dtype=np.int64)).slice(0, 0))
+    out = mosaic_zonal(empty, products)
+    assert out.count() == 0
+    cols = {
+        "max": {"mosaic_sum": pa.float64()},
+        "mean": {"mean_sum": pa.float64()},
+        "depth": {"d1": pa.int64(), "d2": pa.int64(), "d3p": pa.int64()},
+    }
+    want = {"county_fips": pa.string(), "n_px": pa.int64()}
+    for p in products:
+        want.update(cols[p])
+    schema = out.schema()
+    assert schema is not None
+    assert dict(zip(schema.names, schema.types)) == want
