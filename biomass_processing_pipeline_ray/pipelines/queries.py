@@ -39,6 +39,7 @@ import pyarrow.parquet as pq
 from ..functions import georef as G
 from ..functions.rounding import round_away, snap_binary, sql_snap
 from ..geo.geoms import ACRES_PER_M2, M_PER_DEG
+from ..stages.zonal import Counties, Hist, county_zonal
 
 # ---------------------------------------------------------------------------
 # universe sizing
@@ -72,6 +73,21 @@ def tiles_path(sf_dir: str) -> str:
     # encode generator-code versions
     n = universe_n(sf_dir)
     return generate_tiles_parquet(n, os.path.join(TILE_CACHE, f"tiles_n{n}_s42_v2"))
+
+
+def to_df(res) -> pd.DataFrame:
+    """A registry result (Dataset, ``pa.Table`` or DataFrame) as a
+    DataFrame that keeps its columns at zero rows: Ray 2.49's
+    ``Dataset.to_pandas()`` drops every column of a zero-row Dataset,
+    while its ``schema()`` still carries them."""
+    if isinstance(res, pd.DataFrame):
+        return res
+    if isinstance(res, pa.Table):
+        return res.to_pandas()
+    df = res.to_pandas()
+    if len(df) == 0 and res.schema() is not None:
+        return res.schema().base_schema.empty_table().to_pandas()
+    return df
 
 
 def _tbl(sf_dir: str, name: str, columns: list[str] | None = None):
@@ -207,74 +223,41 @@ _CORR_QX = 1048576.0  # value quantum 2^-20
 _CORR_QY = 4096.0     # biomass quantum 2^-12
 
 
-def _county_moments(sf_dir: str):
-    """Per-county exact integer moments of the quantized (value,
-    biomass) pair — the shared partial-aggregate feeding both the
-    Pearson correlation and the OLS regression queries.  Both
-    variables quantize to fixed-point int64 so the five moment sums
-    are overflow-free exact integers through sf10 (grouping-invariant
-    — no float-summation order problem at all).  Partial moments
-    combine per batch; the exchange carries one row per
-    (county, batch)."""
-    from ..stages.zonal import bucketed_agg
-
+def _county_rows(sf_dir: str, prep):
+    """The arithmetic universe → PIP county → ``prep`` per batch: the
+    input of the per-county statistic entries."""
     ds = _pip(_range_geo(universe_n(sf_dir)))
+    return ds.map_batches(prep, batch_format="pyarrow")
 
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b["tile_id"].to_numpy()
-        x = round_away(G.derive_value(ids) * _CORR_QX, 0).astype(np.int64)
-        y = round_away(G.derive_biomass(ids) * _CORR_QY, 0).astype(np.int64)
-        fips = np.asarray(b["county_fips"].to_pylist(), dtype=object).astype(str)
-        uniq, inv = np.unique(fips, return_inverse=True)
-        m = len(uniq)
 
-        def isum(v: np.ndarray) -> np.ndarray:
-            acc = np.zeros(m, dtype=np.int64)
-            np.add.at(acc, inv, v)
-            return acc
-
-        return pa.table(
-            {
-                "county_fips": pa.array(uniq, pa.string()),
-                "pn": pa.array(np.bincount(inv, minlength=m).astype(np.int64)),
-                "px": pa.array(isum(x)),
-                "py": pa.array(isum(y)),
-                "pxy": pa.array(isum(x * y)),
-                "pxx": pa.array(isum(x * x)),
-                "pyy": pa.array(isum(y * y)),
-            }
-        )
-
-    return bucketed_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["county_fips"],
+def _moments(b: pa.Table) -> pa.Table:
+    """Quantized fixed-point int64 (value, biomass) per tile and the
+    products the five moment sums need: exact integers through sf10,
+    so they sum to the same bits in any grouping."""
+    ids = b["tile_id"].to_numpy()
+    x = round_away(G.derive_value(ids) * _CORR_QX, 0).astype(np.int64)
+    y = round_away(G.derive_biomass(ids) * _CORR_QY, 0).astype(np.int64)
+    return pa.table(
         {
-            "n_tiles": ("pn", "sum"),
-            "sx": ("px", "sum"),
-            "sy": ("py", "sum"),
-            "sxy": ("pxy", "sum"),
-            "sxx": ("pxx", "sum"),
-            "syy": ("pyy", "sum"),
-        },
-        nb=64,
+            "county_fips": b["county_fips"],
+            "x": x, "y": y, "xy": x * y, "xx": x * x, "yy": y * y,
+        }
     )
+
+
+_MOMENTS = {c: ("sum", c) for c in ("x", "y", "xy", "xx", "yy")}
 
 
 def q_county_corr(sf_dir: str):
     """Per-county Pearson correlation (value vs biomass) from the
-    exact integer moments of ``_county_moments``; the final r converts
-    the identical integers to double on both sides with the identical
+    exact integer moment sums (``_moments``); the final r converts the
+    identical integers to double on both sides with the identical
     expression order, so equality is bitwise before the 6-dp
     rounding."""
-    g = _county_moments(sf_dir)
 
-    def finalize(b: pa.Table) -> pa.Table:
-        nn = b["n_tiles"].to_numpy().astype(np.float64)
-        sx = b["sx"].to_numpy().astype(np.float64)
-        sy = b["sy"].to_numpy().astype(np.float64)
-        sxy = b["sxy"].to_numpy().astype(np.float64)
-        sxx = b["sxx"].to_numpy().astype(np.float64)
-        syy = b["syy"].to_numpy().astype(np.float64)
+    def finalize(c: Counties) -> pa.Table:
+        nn = c.n.astype(np.float64)
+        sx, sy, sxy, sxx, syy = (c[k].astype(np.float64) for k in _MOMENTS)
         num = nn * sxy - sx * sy
         den2 = (nn * sxx - sx * sx) * (nn * syy - sy * sy)
         keep = den2 > 0
@@ -282,16 +265,13 @@ def q_county_corr(sf_dir: str):
             r = round_away(num / np.sqrt(den2), 6)
         return pa.table(
             {
-                "county_fips": pa.array(
-                    np.asarray(b["county_fips"].to_pylist(), dtype=object)[keep],
-                    pa.string(),
-                ),
-                "n_tiles": pa.array(b["n_tiles"].to_numpy()[keep], pa.int64()),
+                "county_fips": pa.array(c.fips[keep], pa.string()),
+                "n_tiles": pa.array(c.n[keep], pa.int64()),
                 "corr_xy": pa.array(r[keep], pa.float64()),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    return county_zonal(_county_rows(sf_dir, _moments), _MOMENTS, finalize)
 
 
 def _sql_county_corr(n: int) -> str:
@@ -322,24 +302,18 @@ def _sql_county_corr(n: int) -> str:
 
 def q_county_regression(sf_dir: str):
     """Per-county OLS regression biomass ~ value (slope / intercept /
-    r²) from the SAME exact integer moments as ``q_county_corr``
-    (``_county_moments``: quantized fixed-point int64 sums, exchange =
-    one row per county×batch).  The quantized-unit slope rescales to
-    real units by the exact constant QX/QY = 256.0; intercept and r²
-    reuse the slope subexpression in the identical order on both
-    sides, so the doubles match bitwise before the 6-dp rounding.
-    Grouped regression is the per-stratum trend-fit every calibration
-    / drift-monitoring pipeline needs; moments-only partials keep the
-    exchange one bounded row per (county, batch) at any scale."""
-    g = _county_moments(sf_dir)
+    r²) from the SAME exact integer moment sums as ``q_county_corr``.
+    The quantized-unit slope rescales to real units by the exact
+    constant QX/QY = 256.0; intercept and r² reuse the slope
+    subexpression in the identical order on both sides, so the doubles
+    match bitwise before the 6-dp rounding.  Grouped regression is the
+    per-stratum trend-fit every calibration / drift-monitoring pipeline
+    needs; moment partials keep the exchange one bounded row per
+    (county, batch) at any scale."""
 
-    def finalize(b: pa.Table) -> pa.Table:
-        nn = b["n_tiles"].to_numpy().astype(np.float64)
-        sx = b["sx"].to_numpy().astype(np.float64)
-        sy = b["sy"].to_numpy().astype(np.float64)
-        sxy = b["sxy"].to_numpy().astype(np.float64)
-        sxx = b["sxx"].to_numpy().astype(np.float64)
-        syy = b["syy"].to_numpy().astype(np.float64)
+    def finalize(c: Counties) -> pa.Table:
+        nn = c.n.astype(np.float64)
+        sx, sy, sxy, sxx, syy = (c[k].astype(np.float64) for k in _MOMENTS)
         num = nn * sxy - sx * sy
         denx = nn * sxx - sx * sx
         deny = nn * syy - sy * sy
@@ -350,18 +324,15 @@ def q_county_regression(sf_dir: str):
             r2 = (num * num) / (denx * deny)
         return pa.table(
             {
-                "county_fips": pa.array(
-                    np.asarray(b["county_fips"].to_pylist(), dtype=object)[keep],
-                    pa.string(),
-                ),
-                "n_tiles": pa.array(b["n_tiles"].to_numpy()[keep], pa.int64()),
+                "county_fips": pa.array(c.fips[keep], pa.string()),
+                "n_tiles": pa.array(c.n[keep], pa.int64()),
                 "slope": pa.array(round_away(slope, 6)[keep], pa.float64()),
                 "intercept": pa.array(round_away(intercept, 6)[keep], pa.float64()),
                 "r2": pa.array(round_away(r2, 6)[keep], pa.float64()),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    return county_zonal(_county_rows(sf_dir, _moments), _MOMENTS, finalize)
 
 
 def _sql_county_regression(n: int) -> str:
@@ -397,35 +368,53 @@ def _sql_county_regression(n: int) -> str:
     """
 
 
-_GINI_HI = 2048 * 4096  # quantized-biomass bucket domain upper bound
+def _quantized_biomass(q: float):
+    """prep: ``county_fips`` + the biomass quantized to int64 steps of 1/q."""
+
+    def prep(b: pa.Table) -> pa.Table:
+        vq = round_away(G.derive_biomass(b["tile_id"].to_numpy()) * q, 0)
+        return pa.table(
+            {"county_fips": b["county_fips"], "vq": pa.array(vq.astype(np.int64))}
+        )
+
+    return prep
+
+
+def _gini(c: Counties) -> pa.Table:
+    """Per-county Gini coefficient of the ``vq`` histogram,
+    ``G = (2·Σᵢ i·x₍ᵢ₎ − (n+1)·Σx) / (n·Σx)`` with 1-based ascending
+    ranks, exact with ties: a tie run of value v over ranks
+    [cb+1 .. cb+nt] adds ``v · (nt·cb + nt(nt+1)/2)`` to the
+    rank-weighted sum, all in int64.  Counties with Σx = 0 are
+    dropped."""
+    h = c["vq"]
+    v, nt = h.value.astype(np.int64), h.count
+    below = np.cumsum(nt) - nt
+    cb = below - below[h.start][h.county]
+    s1 = h.total(v * (nt * cb + nt * (nt + 1) // 2))
+    sx = h.total(v * nt)
+    keep = sx > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gini = (2 * s1 - (c.n + 1) * sx).astype(np.float64) / (
+            c.n * sx
+        ).astype(np.float64)
+    return pa.table(
+        {
+            "county_fips": pa.array(c.fips[keep], pa.string()),
+            "n_tiles": pa.array(c.n[keep], pa.int64()),
+            "gini": pa.array(round_away(gini, 6)[keep], pa.float64()),
+        }
+    )
 
 
 def q_county_gini(sf_dir: str):
     """Per-county Gini coefficient of the quantized biomass — the
     inequality / concentration index every stratified-sampling or
-    skew-monitoring pipeline wants per stratum — exact with tie
-    handling and WITHOUT a global sort
-    (``stages/analytic.grouped_gini``: tie-group collapse + bounded
-    per-(county, bucket) prefix offsets + exact-integer rank-weighted
-    partials)."""
-    from ..stages.analytic import grouped_gini
-
-    ds = _pip(_range_geo(universe_n(sf_dir)))
-
-    def prep(b: pa.Table) -> pa.Table:
-        ids = b["tile_id"].to_numpy()
-        vq = round_away(G.derive_biomass(ids) * _CORR_QY, 0).astype(np.int64)
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "vq": pa.array(vq, pa.int64()),
-            }
-        )
-
-    return grouped_gini(
-        ds.map_batches(prep, batch_format="pyarrow"),
-        "county_fips", "vq", lo=0, hi=_GINI_HI,
-    )
+    skew-monitoring pipeline wants per stratum — from each county's
+    sorted (value, count) histogram, without a global sort
+    (``_gini``)."""
+    ds = _county_rows(sf_dir, _quantized_biomass(_CORR_QY))
+    return county_zonal(ds, {"vq": ("hist", "vq")}, _gini)
 
 
 def _sql_county_gini(n: int) -> str:
@@ -497,30 +486,34 @@ def q_county_hull(sf_dir: str):
 _MAD_Q = 1024.0  # biomass quantization for the integer-exact MAD
 
 
+def _mad(c: Counties) -> pa.Table:
+    """Per-county exact median and median absolute deviation of the
+    ``vq`` histogram: both are element selections at
+    ``floor(0.5·(n−1))``, the second over the histogram re-keyed by
+    ``|v − med|``, so everything stays in the integer domain."""
+    h = c["vq"]
+    half = (c.n - 1) // 2
+    med = h.select(half).astype(np.int64)
+    dev = np.abs(h.value.astype(np.int64) - med[h.county])
+    o = np.lexsort((dev, h.county))
+    mad = Hist(dev[o], h.count[o], h.start, h.size).select(half)
+    return pa.table(
+        {
+            "county_fips": pa.array(c.fips, pa.string()),
+            "n": pa.array(c.n, pa.int64()),
+            "med": pa.array(med, pa.int64()),
+            "mad": pa.array(mad, pa.int64()),
+        }
+    )
+
+
 def q_county_mad(sf_dir: str):
     """Per-county exact median + median absolute deviation of the
     quantized biomass — the robust spread statistic (outlier-proof,
-    unlike stddev) for per-stratum anomaly gates.  Two streamed passes
-    (MAD is inherently two-pass); medians by element selection at
-    ``floor(0.5·(n−1))`` so everything stays in the integer domain
-    (``stages/analytic.grouped_mad``)."""
-    from ..stages.analytic import grouped_mad
-
-    def make_ds():
-        ds = _pip(_range_geo(universe_n(sf_dir)))
-
-        def prep(b: pa.Table) -> pa.Table:
-            vq = round_away(
-                G.derive_biomass(b["tile_id"].to_numpy()) * _MAD_Q, 0
-            ).astype(np.int64)
-            t = pa.table(
-                {"county_fips": b["county_fips"], "vq": pa.array(vq, pa.int64())}
-            )
-            return _add_fips_coarse(t)
-
-        return ds.map_batches(prep, batch_format="pyarrow")
-
-    return grouped_mad(make_ds, "county_fips", "vq", "coarse")
+    unlike stddev) for per-stratum anomaly gates — in one pass
+    (``_mad``)."""
+    ds = _county_rows(sf_dir, _quantized_biomass(_MAD_Q))
+    return county_zonal(ds, {"vq": ("hist", "vq")}, _mad)
 
 
 _TRIM_PCT = 5  # winsorize/trim tail fraction (t = n*5//100 per county)
@@ -531,52 +524,38 @@ def q_county_winsorized(sf_dir: str):
     the Tukey robust-location pair next to MAD's robust spread: tail
     values beyond the t-th order statistics (t = n·5 %) are clipped
     (winsorized) or dropped (trimmed) before the mean, so single
-    outlier tiles cannot move a county's figure.  ONE grouped pass by
-    exact rank selection in the integer domain
-    (``stages/analytic.grouped_winsorized``); means rounded at the
-    query edge only."""
-    from ..stages.analytic import grouped_winsorized
+    outlier tiles cannot move a county's figure.  With the county's
+    sorted histogram: cutoffs lo = x₍t₎, hi = x₍n−1−t₎ by element
+    selection; trimmed sum = the rank-range sum over [t, n−t), which
+    is tie-invariant and exact in int64; winsorized sum = trimmed sum
+    + t·(lo + hi).  Means are rounded at the query edge only."""
 
-    ds = _pip(_range_geo(universe_n(sf_dir)))
-
-    def prep(b: pa.Table) -> pa.Table:
-        vq = round_away(
-            G.derive_biomass(b["tile_id"].to_numpy()) * _MAD_Q, 0
-        ).astype(np.int64)
-        t = pa.table(
-            {"county_fips": b["county_fips"], "vq": pa.array(vq, pa.int64())}
-        )
-        return _add_fips_coarse(t)
-
-    out = grouped_winsorized(
-        ds.map_batches(prep, batch_format="pyarrow"),
-        "county_fips",
-        "vq",
-        "coarse",
-        trim_pct=_TRIM_PCT,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        n = b["n"].to_numpy().astype(np.float64)
-        t = b["n"].to_numpy() * _TRIM_PCT // 100
-        trim_n = (b["n"].to_numpy() - 2 * t).astype(np.float64)
+    def finalize(c: Counties) -> pa.Table:
+        h = c["vq"]
+        n = c.n
+        t = n * _TRIM_PCT // 100
+        lo = h.select(t).astype(np.int64)
+        hi = h.select(n - 1 - t).astype(np.int64)
+        trim_sum = (h.smallest_sum(n - t) - h.smallest_sum(t)).astype(np.int64)
+        win_sum = trim_sum + t * (lo + hi)
         return pa.table(
             {
-                "county_fips": b["county_fips"],
-                "n": b["n"],
-                "lo_cut": b["lo_cut"],
-                "hi_cut": b["hi_cut"],
+                "county_fips": pa.array(c.fips, pa.string()),
+                "n": pa.array(n, pa.int64()),
+                "lo_cut": pa.array(lo, pa.int64()),
+                "hi_cut": pa.array(hi, pa.int64()),
                 "win_mean": pa.array(
-                    round_away(b["win_sum"].to_numpy() / n, 4), pa.float64()
+                    round_away(win_sum / n.astype(np.float64), 4), pa.float64()
                 ),
                 "trim_mean": pa.array(
-                    round_away(b["trim_sum"].to_numpy() / trim_n, 4),
+                    round_away(trim_sum / (n - 2 * t).astype(np.float64), 4),
                     pa.float64(),
                 ),
             }
         )
 
-    return out.map_batches(finalize, batch_format="pyarrow")
+    ds = _county_rows(sf_dir, _quantized_biomass(_MAD_Q))
+    return county_zonal(ds, {"vq": ("hist", "vq")}, finalize)
 
 
 def _sql_county_winsorized(n: int) -> str:
@@ -650,12 +629,8 @@ def q_county_coverage(sf_dir: str):
     lattice cells (ids collide on cells under the 32-bit key hash), and
     the covered fraction of the county's 512×512 cell grid — the
     spatial-completeness metric a coverage-driven acquisition plan
-    reads.  Exact grouped distinct via the cell-hash bucket pattern
-    (per-batch unique pairs → one bucketed exchange → per-bucket dedup
-    count → tiny Sum merge)."""
-    n = universe_n(sf_dir)
-    ds = _pip(_range_geo(n))
-    nb = 64
+    reads.  The exact distinct count is the number of entries in the
+    county's histogram of cell positions."""
 
     def prep(b: pa.Table) -> pa.Table:
         key = G.derive_key(b["tile_id"].to_numpy())
@@ -664,55 +639,20 @@ def q_county_coverage(sf_dir: str):
             {"county_fips": b["county_fips"], "pos": pa.array(pos, pa.int64())}
         )
 
-    pairs = ds.map_batches(prep, batch_format="pyarrow")
-
-    n_tiles = _grouped_sums(
-        pairs.map_batches(
-            lambda b: pa.table(
-                {
-                    "county_fips": b["county_fips"],
-                    "one": pa.array(
-                        np.ones(b.num_rows, dtype=np.int64), pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        ),
-        ["county_fips"],
-        {"n_tiles": "one"},
-        None,
-    ).to_pandas()
-
-    def uniq_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.drop_duplicates()
-        return out.assign(coarse=out["pos"].to_numpy() % nb)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop_duplicates(["county_fips", "pos"])
-        c = d.groupby("county_fips", as_index=False).agg(
-            n_cells=("pos", "size")
+    def finalize(c: Counties) -> pa.Table:
+        n_cells = c["pos"].size
+        return pa.table(
+            {
+                "county_fips": pa.array(c.fips, pa.string()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+                "n_cells": pa.array(n_cells, pa.int64()),
+                "coverage_pct": pa.array(
+                    round_away(n_cells / float(_CELLS_PER_COUNTY), 6), pa.float64()
+                ),
+            }
         )
-        c["n_cells"] = c["n_cells"].astype(np.int64)
-        return c
 
-    n_cells = (
-        _grouped_sums(
-            pairs.map_batches(uniq_pairs, batch_format="pandas")
-            .groupby("coarse")
-            .map_groups(per_bucket, batch_format="pandas"),
-            ["county_fips"],
-            {"n_cells": "n_cells"},
-            None,
-        )
-    ).to_pandas()
-
-    out = n_tiles.merge(n_cells, on="county_fips").sort_values(
-        "county_fips"
-    ).reset_index(drop=True)
-    out["coverage_pct"] = round_away(
-        out["n_cells"].to_numpy() / float(_CELLS_PER_COUNTY), 6
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return county_zonal(_county_rows(sf_dir, prep), {"pos": ("hist", "pos")}, finalize)
 
 
 def _sql_county_coverage(n: int) -> str:
@@ -908,44 +848,24 @@ def q_county_edge_stats(sf_dir: str):
                     G.county_fips_from_xy(cx, cy), pa.string()
                 ),
                 "d": pa.array(d),
-                "ds": pa.array(snap_binary(d)),
             }
         )
 
-    rows = ds.map_batches(edge, batch_format="pyarrow")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("county_fips", as_index=False).agg(
-            min_edge=("d", "min"), edge_sum=("ds", "sum"), n_tiles=("d", "size")
-        )
-        g["n_tiles"] = g["n_tiles"].astype(np.int64)
-        return g
-
-    from ray.data.aggregate import Min, Sum
-
-    from ..stages.zonal import combine_partials
-
-    g = combine_partials(
-        rows.map_batches(partial, batch_format="pandas"),
-        ["county_fips"],
-        [
-            Min("min_edge", alias_name="min_edge"),
-            Sum("edge_sum", alias_name="edge_sum"),
-            Sum("n_tiles", alias_name="n_tiles"),
-        ],
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
+    def finalize(c: Counties) -> pa.Table:
         return pa.table(
             {
-                "county_fips": b["county_fips"],
-                "n_tiles": b["n_tiles"],
-                "min_edge": b["min_edge"],
-                "edge_sum": pa.array(round_away(b["edge_sum"].to_numpy(), 6)),
+                "county_fips": pa.array(c.fips, pa.string()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+                "min_edge": pa.array(c["min_edge"], pa.float64()),
+                "edge_sum": pa.array(round_away(c["edge_sum"], 6), pa.float64()),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    return county_zonal(
+        ds.map_batches(edge, batch_format="pyarrow"),
+        {"min_edge": ("min", "d"), "edge_sum": ("sum", "d")},
+        finalize,
+    )
 
 
 def _sql_county_edge_stats(n: int) -> str:
@@ -1021,9 +941,7 @@ def q_bbox_search_indexed(sf_dir: str):
     manifest pruning reads only intersecting partitions, then an exact
     bbox filter + count/biomass rollup.  Equals the full-scan SQL
     (zone maps are supersets), proving pruned reads lose nothing."""
-    import pyarrow.compute as pc
-
-    from ..stages.geoindex import read_spatial_store, write_spatial_store
+    from ..stages.geoindex import write_spatial_store
 
     n = universe_n(sf_dir)
     # _v2: manifest layout gained a per-partition file-list column
@@ -1036,39 +954,7 @@ def q_bbox_search_indexed(sf_dir: str):
     write_spatial_store(
         _range_geo(n).map_batches(add_cols, batch_format="pyarrow"), store
     )
-    bx0, by0, bx1, by1 = _BBOX_QUERY
-    ds = read_spatial_store(store, _BBOX_QUERY, columns=["lon", "lat", "biomass"])
-
-    def in_box(b: pa.Table) -> pa.Table:
-        keep = (
-            pc.and_(
-                pc.and_(
-                    pc.greater_equal(b["lon"], bx0), pc.less_equal(b["lon"], bx1)
-                ),
-                pc.and_(
-                    pc.greater_equal(b["lat"], by0), pc.less_equal(b["lat"], by1)
-                ),
-            )
-        )
-        return b.filter(keep)
-
-    def partial(b: pa.Table) -> pa.Table:
-        b = in_box(b)
-        return pa.table(
-            {
-                "n": pa.array([len(b)], pa.int64()),
-                "s": pa.array([float(np.sum(b["biomass"].to_numpy()))]),
-            }
-        )
-
-    # single pass: one bounded partial row per block reaches the driver
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return pa.table(
-        {
-            "n_tiles": pa.array([int(parts["n"].sum())], pa.int64()),
-            "biomass_sum": pa.array(round_away(np.asarray([parts["s"].sum()]), 4)),
-        }
-    )
+    return _bbox_rollup(store)
 
 
 def q_bbox_search_lifecycle(sf_dir: str):
@@ -1079,8 +965,6 @@ def q_bbox_search_lifecycle(sf_dir: str):
     WHOLE universe.  Proves append visibility and compaction fidelity
     end-to-end, not just in pytest.  Idempotent per sf via a lifecycle
     marker (append twice would duplicate rows)."""
-    import pyarrow.compute as pc
-
     from ..stages.geoindex import (
         append_to_store,
         compact_store,
@@ -1122,12 +1006,27 @@ def q_bbox_search_lifecycle(sf_dir: str):
         # is deferred) — then gc_store reclaims the tombstones.
         old_plan = read_spatial_store(store, _BBOX_QUERY, columns=["biomass"])
         compact_store(store)
-        n_old_plan = old_plan.count()  # reads pre-compaction paths
-        if n_old_plan <= 0:
+        new_plan = read_spatial_store(store, _BBOX_QUERY, columns=["biomass"])
+        # the old plan reads the pre-compaction paths
+        if old_plan.count() != new_plan.count():
             raise RuntimeError("pre-compaction plan lost rows")
         gc_store(store, grace_sec=0.0)
         with open(marker, "w", encoding="utf-8") as f:
             f.write("ok")
+
+    return _bbox_rollup(store)
+
+
+def _bbox_rollup(store: str) -> pa.Table:
+    """``n_tiles`` and ``biomass_sum`` of the store's tiles inside
+    ``_BBOX_QUERY``: zone-map pruned read, exact bbox filter, one
+    bounded partial row per block to the driver.  A zero partial keeps
+    the count defined when no tile is in the box; the sum is then null,
+    like SQL's ``SUM`` over no rows."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from ..stages.geoindex import read_spatial_store
 
     bx0, by0, bx1, by1 = _BBOX_QUERY
     ds = read_spatial_store(store, _BBOX_QUERY, columns=["lon", "lat", "biomass"])
@@ -1145,11 +1044,14 @@ def q_bbox_search_lifecycle(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    zero = rd.from_arrow(pa.table({"n": pa.array([0], pa.int64()), "s": [0.0]}))
+    parts = ds.map_batches(partial, batch_format="pyarrow").union(zero).to_pandas()
+    n = int(parts["n"].sum())
+    s = round_away(np.asarray([parts["s"].sum()]), 4) if n else [None]
     return pa.table(
         {
-            "n_tiles": pa.array([int(parts["n"].sum())], pa.int64()),
-            "biomass_sum": pa.array(round_away(np.asarray([parts["s"].sum()]), 4)),
+            "n_tiles": pa.array([n], pa.int64()),
+            "biomass_sum": pa.array(s, pa.float64()),
         }
     )
 
@@ -1519,30 +1421,20 @@ def _sql_tiles_with_county(n: int) -> str:
 
 def q_county_bounds(sf_dir: str):
     """Per-county extent of tile centroids (reference S3: ST_Extent)."""
-    from ray.data.aggregate import Max, Min
+    products = {
+        "min_lon": ("min", "lon"),
+        "min_lat": ("min", "lat"),
+        "max_lon": ("max", "lon"),
+        "max_lat": ("max", "lat"),
+    }
 
-    ds = _tiles_with_county(sf_dir, [])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("county_fips", as_index=False).agg(
-            min_lon=("lon", "min"),
-            min_lat=("lat", "min"),
-            max_lon=("lon", "max"),
-            max_lat=("lat", "max"),
+    def finalize(c: Counties) -> pa.Table:
+        return pa.table(
+            {"county_fips": pa.array(c.fips, pa.string())}
+            | {k: pa.array(c[k], pa.float64()) for k in products}
         )
 
-    from ..stages.zonal import combine_partials
-
-    return combine_partials(
-        ds.map_batches(partial, batch_format="pandas"),
-        "county_fips",
-        [
-            Min("min_lon", alias_name="min_lon"),
-            Min("min_lat", alias_name="min_lat"),
-            Max("max_lon", alias_name="max_lon"),
-            Max("max_lat", alias_name="max_lat"),
-        ],
-    )
+    return county_zonal(_tiles_with_county(sf_dir, []), products, finalize)
 
 
 def _sql_county_bounds(n: int) -> str:
@@ -1553,36 +1445,59 @@ def _sql_county_bounds(n: int) -> str:
     """
 
 
-def _county_fmt_counts(sf_dir: str):
-    ds = _tiles_with_county(sf_dir, ["fmt"])
-    return _grouped_sums(ds, ["county_fips", "fmt"], {}, "n")
+_FMT_ROWS = pa.schema(
+    [("county_fips", pa.string()), ("fmt", pa.string()), ("n", pa.int64())]
+)
+
+
+def _county_fmt(sf_dir: str, finalize):
+    """``finalize`` over each county's exact format histogram."""
+    return county_zonal(
+        _tiles_with_county(sf_dir, ["fmt"]), {"fmt": ("hist", "fmt")}, finalize
+    )
+
+
+def _fmt_rows(c: Counties) -> pa.Table:
+    h = c["fmt"]
+    return pa.table([c.fips[h.county], h.value, h.count], schema=_FMT_ROWS)
 
 
 def q_county_fmt_hist(sf_dir: str):
     """Zonal histogram (reference G1: per-zone class counts)."""
-    return _county_fmt_counts(sf_dir)
+    return _county_fmt(sf_dir, _fmt_rows)
+
+
+def _fmt_grouping_sets(sf_dir: str, by_fmt: bool):
+    """(county, fmt) counts plus the ``ALL`` rows of the (county), the
+    (fmt) if ``by_fmt``, and the () grouping sets.  The ``ALL`` rows
+    re-aggregate the bounded per-county result (counties × formats
+    rows) in one all-to-one step, so the tiles are read and exchanged
+    once whatever the number of grouping sets."""
+    import ray.data as rd
+
+    def add_sets(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
+        by_c = df.groupby("county_fips", as_index=False)["n"].sum()
+        sets = [df, by_c.assign(fmt="ALL")]
+        if by_fmt:
+            by_f = df.groupby("fmt", as_index=False)["n"].sum()
+            sets.append(by_f.assign(county_fips="ALL"))
+        sets.append(
+            pd.DataFrame({"county_fips": ["ALL"], "fmt": ["ALL"], "n": [df["n"].sum()]})
+        )
+        out = pd.concat(sets, ignore_index=True)[_FMT_ROWS.names]
+        return pa.Table.from_pandas(out, schema=_FMT_ROWS, preserve_index=False)
+
+    rows = _county_fmt(sf_dir, _fmt_rows).groupby(None)
+    return rows.map_groups(add_sets, batch_format="pyarrow").union(
+        rd.from_arrow(_FMT_ROWS.empty_table())
+    )
 
 
 def q_county_fmt_cube(sf_dir: str):
-    """GROUP BY CUBE(county, fmt): all four grouping sets.  The scale
-    shape: ONE shuffle computes the finest (county, fmt) grid; every
-    coarser grouping set re-aggregates that bounded grid (counties ×
-    formats rows — driver-side pandas on partials, the same bounded-
-    partial pattern as the centroid merges), so the corpus is read and
-    exchanged exactly once regardless of how many sets the cube has."""
-    finest = _county_fmt_counts(sf_dir).to_pandas()
-    by_c = finest.groupby("county_fips", as_index=False)["n"].sum()
-    by_c["fmt"] = "ALL"
-    by_f = finest.groupby("fmt", as_index=False)["n"].sum()
-    by_f["county_fips"] = "ALL"
-    total = pd.DataFrame(
-        {"county_fips": ["ALL"], "fmt": ["ALL"], "n": [finest["n"].sum()]}
-    )
-    out = pd.concat(
-        [finest, by_c, by_f, total], ignore_index=True
-    )[["county_fips", "fmt", "n"]]
-    out["n"] = out["n"].astype(np.int64)
-    return out
+    """GROUP BY CUBE(county, fmt): all four grouping sets from one
+    pass (``_fmt_grouping_sets``)."""
+    return _fmt_grouping_sets(sf_dir, by_fmt=True)
 
 
 def _sql_county_fmt_cube(n: int) -> str:
@@ -1602,39 +1517,24 @@ def _sql_county_fmt_hist(n: int) -> str:
     """
 
 
-def _add_fips_coarse(b: pa.Table, n_coarse: int = 64) -> pa.Table:
-    """Coarse co-partition key from the fips string (bounded groups —
-    per-key map_groups dispatch stays O(n_coarse) even at 3k counties)."""
-    import pyarrow.compute as pc
-
-    f = pc.cast(b["county_fips"], pa.int64()).to_numpy()
-    return b.append_column("coarse", pa.array(f % n_coarse))
-
-
 def q_county_shannon(sf_dir: str):
-    """Shannon diversity of the zonal histogram (reference G10) —
-    coarse-bucketed: each bucket computes ALL its counties' entropies
-    with one vectorized pandas pass."""
-    counts = _county_fmt_counts(sf_dir)
+    """Shannon diversity of the zonal histogram (reference G10),
+    normalized by ln 3 (three formats)."""
 
-    def entropy_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        n = g["n"].astype(np.float64)
-        tot = n.groupby(g["county_fips"]).transform("sum")
-        p = (n / tot).to_numpy()
-        term = pd.Series(p * np.log(p), index=g.index)
-        h = term.groupby(g["county_fips"]).sum()
-        return pd.DataFrame(
+    def finalize(c: Counties) -> pa.Table:
+        h = c["fmt"]
+        p = h.count / c.n[h.county].astype(np.float64)
+        return pa.table(
             {
-                "county_fips": h.index.to_numpy(),
-                "shannon": round_away(-h.to_numpy() / np.log(3.0), 6),
+                "county_fips": pa.array(c.fips, pa.string()),
+                "shannon": pa.array(
+                    round_away(-h.total(p * np.log(p)) / np.log(3.0), 6),
+                    pa.float64(),
+                ),
             }
         )
 
-    return (
-        counts.map_batches(_add_fips_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(entropy_bucket, batch_format="pandas")
-    )
+    return _county_fmt(sf_dir, finalize)
 
 
 def _sql_county_shannon(n: int) -> str:
@@ -1650,29 +1550,22 @@ def _sql_county_shannon(n: int) -> str:
 
 def q_county_dominant_fmt(sf_dir: str):
     """Dominant class per zone (reference O3: argmax by count, ties to
-    the lexicographically smallest fmt) — coarse-bucketed vectorized
-    argmax (sort + drop_duplicates), no per-county Python dispatch."""
-    counts = _county_fmt_counts(sf_dir)
+    the lexicographically smallest fmt)."""
 
-    def dominant_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["county_fips", "n", "fmt"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        d = g.drop_duplicates("county_fips")
-        return pd.DataFrame(
+    def finalize(c: Counties) -> pa.Table:
+        h = c["fmt"]
+        # histogram entries are fmt-ascending within a county
+        order = np.lexsort((np.arange(len(h.count)), -h.count, h.county))
+        top = order[h.start]
+        return pa.table(
             {
-                "county_fips": d["county_fips"].to_numpy(),
-                "dominant_fmt": d["fmt"].to_numpy(),
-                "n_dominant": d["n"].to_numpy().astype(np.int64),
+                "county_fips": pa.array(c.fips, pa.string()),
+                "dominant_fmt": pa.array(h.value[top], pa.string()),
+                "n_dominant": pa.array(h.count[top], pa.int64()),
             }
         )
 
-    return (
-        counts.map_batches(_add_fips_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(dominant_bucket, batch_format="pandas")
-    )
+    return _county_fmt(sf_dir, finalize)
 
 
 def _sql_county_dominant_fmt(n: int) -> str:
@@ -1963,27 +1856,29 @@ def _sql_knn_edges(n: int) -> str:
 
 def q_county_quantiles(sf_dir: str):
     """Exact per-county quantiles (p50/p90 of tile biomass) by element
-    selection at ``floor(q*(n-1))`` — no float interpolation, so the
-    values hash-match the SQL row_number mirror bit-for-bit."""
-    from ..stages.analytic import grouped_quantiles
+    selection at ``floor(q*(n-1))`` over the county's histogram — no
+    float interpolation, so the values hash-match the SQL row_number
+    mirror bit-for-bit."""
 
-    ds = _range_geo(universe_n(sf_dir))
-
-    def add_biomass(b: pa.Table) -> pa.Table:
+    def prep(b: pa.Table) -> pa.Table:
         bm = snap_binary(G.derive_biomass(b["tile_id"].to_numpy()))
-        return b.append_column("biomass", pa.array(bm))
+        return pa.table({"county_fips": b["county_fips"], "biomass": pa.array(bm)})
 
-    ds = _pip(ds.map_batches(add_biomass, batch_format="pyarrow"))
-    ds = ds.map_batches(_add_fips_coarse, batch_format="pyarrow").select_columns(
-        ["county_fips", "biomass", "coarse"]
-    )
-    return grouped_quantiles(
-        ds,
-        "county_fips",
-        "biomass",
-        {"p50_biomass": 0.5, "p90_biomass": 0.9},
-        "coarse",
-    )
+    qs = {"p50_biomass": 0.5, "p90_biomass": 0.9}
+
+    def finalize(c: Counties) -> pa.Table:
+        h = c["biomass"]
+        out = {
+            "county_fips": pa.array(c.fips, pa.string()),
+            "n": pa.array(c.n, pa.int64()),
+        }
+        for name, q in qs.items():
+            rank = np.floor(q * (c.n - 1)).astype(np.int64)
+            out[name] = pa.array(h.select(rank), pa.float64())
+        return pa.table(out)
+
+    ds = _county_rows(sf_dir, prep)
+    return county_zonal(ds, {"biomass": ("hist", "biomass")}, finalize)
 
 
 def _sql_county_quantiles(n: int) -> str:
@@ -2006,13 +1901,11 @@ def _sql_county_quantiles(n: int) -> str:
 
 
 def q_county_top3_tiles(sf_dir: str):
-    """Per-group top-k (top-3 tiles per county by biomass): per-batch
-    per-group combiner caps the shuffle at groups × k rows — the
-    grouped sibling of ``relational.topk``, mirroring the reference's
-    per-parcel ``ORDER BY ... LIMIT`` caps (``database_config_v3.py:
-    112-113``) as a distributed operator."""
-    from ..stages.relational import grouped_topk
-
+    """Per-group top-k (top-3 tiles per county by biomass, ties to the
+    smaller tile id): each batch keeps its top 3 per county, so the
+    exchange carries at most counties × 3 rows per batch — mirroring
+    the reference's per-parcel ``ORDER BY ... LIMIT`` caps
+    (``database_config_v3.py:112-113``) as a distributed operator."""
     ds = _range_geo(universe_n(sf_dir))
 
     def add_biomass(b: pa.Table) -> pa.Table:
@@ -2027,21 +1920,23 @@ def q_county_top3_tiles(sf_dir: str):
             }
         )
 
-    out = grouped_topk(
-        ds.map_batches(add_biomass, batch_format="pyarrow"),
-        group="county_fips",
-        by="biomass",
-        k=3,
-        descending=True,
-        tie_col="tile_id",
-    )
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return b[["county_fips", "tile_id", "biomass", "rn"]].assign(
-            rn=lambda d: d["rn"].astype(np.int64)
+    def finalize(c: Counties) -> pa.Table:
+        t = c["top"]
+        rn = np.arange(len(t.by)) - t.start[t.county] + 1
+        return pa.table(
+            {
+                "county_fips": pa.array(c.fips[t.county], pa.string()),
+                "tile_id": pa.array(t.tie, pa.int64()),
+                "biomass": pa.array(t.by, pa.float64()),
+                "rn": pa.array(rn, pa.int64()),
+            }
         )
 
-    return out.map_batches(finalize, batch_format="pandas")
+    return county_zonal(
+        ds.map_batches(add_biomass, batch_format="pyarrow"),
+        {"top": ("top", 3, "biomass", "tile_id")},
+        finalize,
+    )
 
 
 def _sql_county_top3(n: int) -> str:
@@ -2060,36 +1955,17 @@ def _sql_county_top3(n: int) -> str:
 
 def q_county_fmt_pivot(sf_dir: str):
     """Pivot (wide zonal histogram): per-county counts spread into one
-    column per class — per-batch crosstab partials, Sum merge."""
-    from ray.data.aggregate import Sum
+    column per class."""
 
-    from ..stages.zonal import combine_partials
+    def finalize(c: Counties) -> pa.Table:
+        h = c["fmt"]
+        out = {"county_fips": pa.array(c.fips, pa.string())}
+        for f in ("png", "jpeg", "raw"):
+            out[f"n_{f}"] = pa.array(h.total(h.count * (h.value == f)), pa.int64())
+        out["n_total"] = pa.array(c.n, pa.int64())
+        return pa.table(out)
 
-    ds = _tiles_with_county(sf_dir, ["fmt"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ct = pd.crosstab(df["county_fips"], df["fmt"]).reindex(
-            columns=["png", "jpeg", "raw"], fill_value=0
-        )
-        out = ct.reset_index()
-        out.columns = ["county_fips", "n_png", "n_jpeg", "n_raw"]
-        for c in ("n_png", "n_jpeg", "n_raw"):
-            out[c] = out[c].astype(np.int64)
-        return out
-
-    merged = combine_partials(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["county_fips"],
-        [Sum(c, alias_name=c) for c in ("n_png", "n_jpeg", "n_raw")],
-    )
-
-    def totals(b: pa.Table) -> pa.Table:
-        tot = (
-            b["n_png"].to_numpy() + b["n_jpeg"].to_numpy() + b["n_raw"].to_numpy()
-        )
-        return b.append_column("n_total", pa.array(tot, pa.int64()))
-
-    return merged.map_batches(totals, batch_format="pyarrow")
+    return _county_fmt(sf_dir, finalize)
 
 
 def _sql_county_fmt_pivot(n: int) -> str:
@@ -2592,6 +2468,7 @@ def q_caption_pair_jaccard(sf_dir: str):
     from ..stages.dedup import adaptive_n_coarse, phash_neardup_pairs
 
     import ray
+    import ray.data as rd
 
     n = universe_n(sf_dir)
     nb = adaptive_n_coarse(n)
@@ -2605,10 +2482,11 @@ def q_caption_pair_jaccard(sf_dir: str):
     # shuffle.  For a pair set too large to broadcast, drop the filter
     # and co-partition the full pruned scan (the MinHash-verify shape).
     pairs = pairs.materialize()
+    # ``unique`` gives None, not [], when no pair survives
     endpoint_ref = ray.put(
         np.union1d(
-            np.asarray(sorted(pairs.unique("a")), dtype=np.int64),
-            np.asarray(sorted(pairs.unique("b")), dtype=np.int64),
+            np.asarray(pairs.unique("a") or [], dtype=np.int64),
+            np.asarray(pairs.unique("b") or [], dtype=np.int64),
         )
     )
 
@@ -2693,19 +2571,25 @@ def q_caption_pair_jaccard(sf_dir: str):
         return out
 
     scored = attached.groupby("pk").map_groups(score, batch_format="pandas")
+    schema = pa.schema(
+        [("a", pa.string()), ("b", pa.string()), ("caption_jaccard", pa.float64())]
+    )
 
     def finalize(b: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "a": _int_to_image_id(b["a"]),
-                "b": _int_to_image_id(b["b"]),
-                "caption_jaccard": pa.array(
-                    round_away(b["caption_jaccard"].to_numpy(), 6)
-                ),
-            }
+            [
+                _int_to_image_id(b["a"]),
+                _int_to_image_id(b["b"]),
+                pa.array(round_away(b["caption_jaccard"].to_numpy(), 6)),
+            ],
+            schema=schema,
         )
 
-    return scored.map_batches(finalize, batch_format="pyarrow")
+    # no pair may survive in a small universe: the typed empty block
+    # gives the result ``schema`` in every case
+    return scored.map_batches(finalize, batch_format="pyarrow").union(
+        rd.from_arrow(schema.empty_table())
+    )
 
 
 def _sql_caption_pair_jaccard(sf_dir: str) -> str:
@@ -3369,57 +3253,9 @@ def q_part_cosine_pairs(sf_dir: str):
 
 def q_county_fmt_rollup(sf_dir: str):
     """OLAP rollup (GROUPING SETS): per-(county, fmt) counts plus
-    per-county subtotals plus a grand total, as a union of three
-    aggregate levels — level 2 and 3 re-aggregate the (already tiny)
-    level-1 result, never the base table."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.zonal import combine_partials
-
-    l1 = _county_fmt_counts(sf_dir).materialize()
-
-    def lift1(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "fmt": b["fmt"],
-                "n": b["n"],
-            }
-        )
-
-    def strip_fmt(b: pa.Table) -> pa.Table:
-        return pa.table({"county_fips": b["county_fips"], "n": b["n"]})
-
-    l2 = combine_partials(
-        l1.map_batches(strip_fmt, batch_format="pyarrow"),
-        ["county_fips"],
-        [Sum("n", alias_name="n")],
-    )
-
-    def lift2(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "county_fips": b["county_fips"],
-                "fmt": pa.array(["ALL"] * len(b), pa.string()),
-                "n": b["n"],
-            }
-        )
-
-    grand = l1.sum("n")
-    l3 = pa.table(
-        {
-            "county_fips": pa.array(["ALL"], pa.string()),
-            "fmt": pa.array(["ALL"], pa.string()),
-            "n": pa.array([int(grand)], pa.int64()),
-        }
-    )
-    import ray.data as rd
-
-    return (
-        l1.map_batches(lift1, batch_format="pyarrow")
-        .union(l2.map_batches(lift2, batch_format="pyarrow"))
-        .union(rd.from_arrow(l3))
-    )
+    per-county subtotals plus a grand total, from one pass
+    (``_fmt_grouping_sets``)."""
+    return _fmt_grouping_sets(sf_dir, by_fmt=False)
 
 
 def _sql_county_fmt_rollup(n: int) -> str:

@@ -73,6 +73,14 @@ def curation_sums(b: pa.Table) -> pa.Table:
     )
 
 
+def partition_sums(t: pa.Table) -> dict:
+    """One checkpoint partition's :func:`curation_sums` (it holds one
+    county) as Python scalars; a zero-row partition sums to typed
+    zeros."""
+    s = curation_sums(t).drop_columns(["county_fips"])
+    return {c: s[c].to_numpy().sum().item() for c in s.column_names}
+
+
 def curation_partial(b: pa.Table) -> pa.Table:
     """Fast-path partial: :func:`curation_sums` of the tiles that fall
     in a county (``county_fips != ""``), as on the checkpointed path."""
@@ -134,7 +142,7 @@ def curation_sweep_checkpointed(
         ds,
         out_dir,
         "county_fips",
-        lambda t: curation_sums(t).drop_columns(["county_fips"]).to_pylist()[0],
+        partition_sums,
         ["image_id"],
         resume,
     )

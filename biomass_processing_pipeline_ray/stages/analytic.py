@@ -1,5 +1,5 @@
 """Analytic operators beyond the reference: per-key window functions
-(row_number / lag), rolling aggregates, exact grouped quantiles, and a
+(row_number / lag), rolling aggregates, sketch quantiles, and a
 Misra–Gries heavy-hitter sketch with an exact recount pass.
 
 The reference has no window-function layer (its nearest analogue is the
@@ -494,49 +494,6 @@ def token_bucket(ds, cost_us: int, cap_us: int, n_coarse: int = 256):
     )
 
 
-# ---------------------------------------------------------------------------
-# exact grouped quantiles (element selection — no float interpolation)
-# ---------------------------------------------------------------------------
-
-
-def grouped_quantiles(ds, key: str, val: str, qs: dict[str, float], coarse_col: str):
-    """Per-group exact quantiles by ELEMENT SELECTION: the value at
-    sorted index ``floor(q * (n-1))`` (numpy ``method='lower'``).
-
-    Interpolating quantiles (DuckDB ``quantile_cont`` / numpy
-    ``'linear'``) mix floats with engine-specific op order and cannot
-    hash-match; selecting an actual element is order-free and
-    bit-exact.  The SQL mirror picks the row at
-    ``rn = 1 + FLOOR(q*(cnt-1))`` via ``row_number()``.
-
-    Quantiles genuinely need each group's value multiset in one place:
-    groups co-partition by ``coarse_col`` (bounded buckets), each
-    bucket lexsorts once by (key, value) and gathers every contained
-    group's selection indices vectorized.  At 100 TB this holds while a
-    bucket of groups fits a worker (the same assumption as every
-    bucketed sort here); beyond that the scale path is
-    ``approx_grouped_quantiles`` below (mergeable histogram sketch,
-    bounded error, O(bins) state) — traded away here for exactness.
-    """
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        keys = g[key].to_numpy()
-        vals = g[val].to_numpy()
-        order = np.lexsort((vals, keys))
-        keys, vals = keys[order], vals[order]
-        starts, sizes, _ = _group_offsets(keys)
-        out: dict[str, pa.Array] = {
-            key: pa.array(keys[starts].astype(str), pa.string()),
-            "n": pa.array(sizes.astype(np.int64), pa.int64()),
-        }
-        for name, q in qs.items():
-            sel = starts + np.floor(q * (sizes - 1)).astype(np.int64)
-            out[name] = pa.array(vals[sel], pa.float64())
-        return pa.table(out)
-
-    return ds.groupby(coarse_col).map_groups(per_bucket, batch_format="pandas")
-
-
 def approx_grouped_quantiles(
     ds,
     key: str,
@@ -546,11 +503,12 @@ def approx_grouped_quantiles(
     hi: float,
     nbins: int = 2048,
 ):
-    """Mergeable histogram-sketch quantiles — the SCALE PATH that
-    ``grouped_quantiles`` documents trading away.
+    """Mergeable histogram-sketch quantiles — the bounded-state
+    alternative to exact quantiles.
 
-    ``grouped_quantiles`` needs each group's full value multiset in one
-    bucket; this variant needs O(occupied bins) per (group, batch): each
+    Exact quantiles (``zonal.county_zonal``'s ``hist`` product) carry
+    each group's full value multiset to one place; this variant needs
+    O(occupied bins) per (group, batch): each
     batch emits ``(key, bin, cnt)`` partial rows over an equal-width
     grid on the caller-supplied ``[lo, hi]`` value range, partials merge
     by distributive Sum (tiny shuffle — at most groups × nbins rows
@@ -1197,283 +1155,6 @@ def grouped_auc(ds, grp: str, sq: str, pos: str,
         )
 
     return merged.map_batches(finalize, batch_format="pyarrow")
-
-
-def grouped_gini(ds, grp: str, vq: str,
-                 lo: int, hi: int, nbins: int = 2048):
-    """Exact per-group Gini coefficient over an integer-quantized
-    non-negative value — the inequality / concentration index
-    (``G = (2·Σᵢ i·x₍ᵢ₎ − (n+1)·Σx) / (n·Σx)`` with 1-based ascending
-    ranks; ties contribute identically under any tie order, so the
-    statistic is deterministic) — computed WITHOUT a global sort via
-    the same tie-group + equi-width-bucket prefix-scan shape as
-    :func:`grouped_auc`.
-
-    A tie run of value v over ranks [cb+1 .. cb+nt] contributes
-    ``v · (nt·cb + nt(nt+1)/2)`` to the rank-weighted sum, so one
-    bounded exact-integer partial per (group, bucket) suffices.
-    Groups with Σx = 0 are dropped.
-    """
-    from ..functions.rounding import round_away
-    from .zonal import bucketed_agg
-
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    width = max(1, (hi - lo) // nbins)
-
-    def tie_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                grp: np.asarray(b[grp].to_pylist(), dtype=object).astype(str),
-                vq: b[vq].to_numpy().astype(np.int64),
-            }
-        )
-        r = df.groupby([grp, vq], as_index=False).size()
-        return pa.table(
-            {
-                grp: pa.array(r[grp].astype(str), pa.string()),
-                vq: pa.array(r[vq].to_numpy(np.int64)),
-                "nt": pa.array(r["size"].to_numpy(np.int64)),
-            }
-        )
-
-    ties = bucketed_agg(
-        ds.map_batches(tie_partial, batch_format="pyarrow"),
-        [grp, vq],
-        {"nt": ("nt", "sum")},
-        nb=64,
-    )
-
-    def binc(b: pa.Table) -> pa.Table:
-        v = b[vq].to_numpy().astype(np.int64)
-        bins = np.clip((v - lo) // width, 0, nbins - 1).astype(np.int64)
-        nt = b["nt"].to_numpy().astype(np.int64)
-        df = pd.DataFrame(
-            {
-                grp: np.asarray(b[grp].to_pylist(), dtype=object).astype(str),
-                "bin": bins,
-                "nt": nt,
-                "sx": v * nt,
-            }
-        )
-        r = df.groupby([grp, "bin"], as_index=False).agg(
-            cnt=("nt", "sum"), sx=("sx", "sum")
-        )
-        return pa.table(
-            {
-                grp: pa.array(r[grp].astype(str), pa.string()),
-                "bin": pa.array(r["bin"].to_numpy(np.int64)),
-                "cnt": pa.array(r["cnt"].to_numpy(np.int64)),
-                "sx": pa.array(r["sx"].to_numpy(np.int64)),
-            }
-        )
-
-    counts = (
-        bucketed_agg(
-            ties.map_batches(binc, batch_format="pyarrow").repartition(4),
-            [grp, "bin"],
-            {"cnt": ("cnt", "sum"), "sx": ("sx", "sum")},
-            nb=16,
-        )
-        .to_pandas()
-        .sort_values([grp, "bin"])
-    )
-    gids = {g_: i for i, g_ in enumerate(sorted(counts[grp].unique()))}
-    offset: dict[int, int] = {}
-    totals: dict[str, tuple[int, int]] = {}
-    for g_, sub in counts.groupby(grp, sort=True):
-        cs = np.concatenate([[0], np.cumsum(sub["cnt"].to_numpy())[:-1]])
-        for b_, o_ in zip(sub["bin"].to_numpy(), cs):
-            offset[gids[g_] * nbins + int(b_)] = int(o_)
-        totals[g_] = (int(sub["cnt"].sum()), int(sub["sx"].sum()))
-
-    def tag(b: pa.Table) -> pa.Table:
-        v = b[vq].to_numpy().astype(np.int64)
-        bins = np.clip((v - lo) // width, 0, nbins - 1)
-        gs = np.asarray(b[grp].to_pylist(), dtype=object).astype(str)
-        gb = np.asarray([gids[x] for x in gs], dtype=np.int64) * nbins + bins
-        return pa.table(
-            {
-                grp: pa.array(gs, pa.string()),
-                vq: b[vq],
-                "nt": b["nt"],
-                "gb": pa.array(gb, pa.int64()),
-            }
-        )
-
-    def rank_partial(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(vq, kind="mergesort")
-        nt = g["nt"].to_numpy(np.int64)
-        v = g[vq].to_numpy(np.int64)
-        base = offset[int(g["gb"].iloc[0])]
-        cb = base + np.concatenate([[0], np.cumsum(nt)[:-1]])
-        s1 = int(np.sum(v * (nt * cb + nt * (nt + 1) // 2)))
-        return pa.table(
-            {
-                grp: pa.array([str(g[grp].iloc[0])], pa.string()),
-                "ps1": pa.array([s1], pa.int64()),
-            }
-        )
-
-    merged = bucketed_agg(
-        ties.map_batches(tag, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("gb")
-        .map_groups(rank_partial, batch_format="pandas")
-        .repartition(2),
-        [grp],
-        {"s1": ("ps1", "sum")},
-        nb=4,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        gs = np.asarray(b[grp].to_pylist(), dtype=object).astype(str)
-        s1 = b["s1"].to_numpy().astype(np.int64)
-        n = np.asarray([totals[x][0] for x in gs], dtype=np.int64)
-        sx = np.asarray([totals[x][1] for x in gs], dtype=np.int64)
-        keep = sx > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gini = (2 * s1 - (n + 1) * sx).astype(np.float64) / (
-                n * sx
-            ).astype(np.float64)
-        return pa.table(
-            {
-                grp: pa.array(gs[keep], pa.string()),
-                "n_tiles": pa.array(n[keep], pa.int64()),
-                "gini": pa.array(round_away(gini, 6)[keep], pa.float64()),
-            }
-        )
-
-    return merged.map_batches(finalize, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# exact per-group median (type-preserving) and MAD — robust statistics
-# ---------------------------------------------------------------------------
-
-
-def grouped_median_int(ds, key: str, val: str, coarse_col: str,
-                       out_col: str = "med"):
-    """Per-group exact median by ELEMENT SELECTION at
-    ``floor(0.5 * (n-1))`` (numpy ``method='lower'``), like
-    :func:`grouped_quantiles` but preserving the key column's dtype so
-    the result can join back against the data (the string-keyed variant
-    is display-oriented).  Returns (key, n, out_col) with ``out_col``
-    in the value column's integer domain."""
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        keys = g[key].to_numpy()
-        vals = g[val].to_numpy()
-        order = np.lexsort((vals, keys))
-        keys, vals = keys[order], vals[order]
-        starts, sizes, _ = _group_offsets(keys)
-        sel = starts + (sizes - 1) // 2
-        return pa.table(
-            {
-                key: pa.array(keys[starts]),
-                "n": pa.array(sizes.astype(np.int64), pa.int64()),
-                out_col: pa.array(vals[sel].astype(np.int64), pa.int64()),
-            }
-        )
-
-    return ds.groupby(coarse_col).map_groups(per_bucket, batch_format="pandas")
-
-
-def grouped_winsorized(ds, key: str, val: str, coarse_col: str,
-                       trim_pct: int = 5):
-    """Per-group winsorized + trimmed means by exact rank selection —
-    the outlier-robust location statistics (Tukey; the standard pair
-    next to MAD for per-stratum quality gates).  With t =
-    floor(n·trim_pct/100) per group:
-
-    - trimmed sum  = Σ of the elements at sort ranks [t, n−t) — a
-      RANK-range sum, tie-invariant (equal values sum equally in any
-      tie order), so exact in the integer value domain;
-    - winsorize cutoffs lo = vals[t], hi = vals[n−1−t]; winsorized
-      sum = trimmed sum + t·lo + t·hi (each clipped tail collapses to
-      its cutoff).
-
-    ONE pass: the per-coarse-bucket kernel sorts its groups (same
-    shape as :func:`grouped_median_int`) and emits a bounded row per
-    group (n, lo_cut, hi_cut, trim_sum, win_sum) — means are left to
-    the caller so rounding rules stay at the query edge.  n − 2t ≥ 1
-    always (t < n/2 by construction for trim_pct < 50)."""
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        keys = g[key].to_numpy()
-        vals = g[val].to_numpy()
-        order = np.lexsort((vals, keys))
-        keys, vals = keys[order], vals[order]
-        starts, sizes, _ = _group_offsets(keys)
-        t = sizes * trim_pct // 100
-        cum = np.concatenate(([0], np.cumsum(vals, dtype=np.int64)))
-        lo_cut = vals[starts + t]
-        hi_cut = vals[starts + sizes - 1 - t]
-        trim_sum = cum[starts + sizes - t] - cum[starts + t]
-        win_sum = trim_sum + t * (lo_cut + hi_cut)
-        return pa.table(
-            {
-                key: pa.array(keys[starts]),
-                "n": pa.array(sizes.astype(np.int64), pa.int64()),
-                "lo_cut": pa.array(lo_cut.astype(np.int64), pa.int64()),
-                "hi_cut": pa.array(hi_cut.astype(np.int64), pa.int64()),
-                "trim_sum": pa.array(trim_sum.astype(np.int64), pa.int64()),
-                "win_sum": pa.array(win_sum.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return ds.groupby(coarse_col).map_groups(per_bucket, batch_format="pandas")
-
-
-def grouped_mad(make_ds, key: str, val: str, coarse_col: str):
-    """Per-group exact median absolute deviation — the robust spread
-    statistic (outlier-insensitive, unlike stddev) every
-    quality-scoring / anomaly-gating pipeline wants per stratum.
-
-    Inherently two-pass: (1) exact per-group median of the quantized
-    value; the result is BOUNDED (one row per group), so it collects to
-    the driver and broadcasts into (2) a second pass that computes
-    ``|v − med(group)|`` per row and takes the per-group median of
-    that.  ``make_ds`` is a zero-arg factory producing the input
-    Dataset (key, val, coarse) — each pass consumes a fresh stream, so
-    nothing large materializes.  Both medians use element selection
-    (deterministic under ties), so the whole statistic is
-    integer-exact.  Returns a pyarrow Table (key, n, med, mad) —
-    bounded by the number of groups.
-    """
-    import ray
-
-    med_tbl = grouped_median_int(make_ds(), key, val, coarse_col).to_pandas()
-    med_tbl = med_tbl.sort_values(key).reset_index(drop=True)
-    med_keys = med_tbl[key].to_numpy()
-    med_vals = med_tbl["med"].to_numpy()
-    ref = ray.put((med_keys, med_vals))
-
-    def absdev(b: pa.Table) -> pa.Table:
-        mk, mv = ray.get(ref)
-        keys = b[key].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(mk, keys)
-        dev = np.abs(b[val].to_numpy() - mv[pos]).astype(np.int64)
-        t = pa.table(
-            {
-                key: b[key],
-                val: pa.array(dev, pa.int64()),
-                coarse_col: b[coarse_col],
-            }
-        )
-        return t
-
-    mad_tbl = (
-        grouped_median_int(
-            make_ds().map_batches(absdev, batch_format="pyarrow"),
-            key, val, coarse_col, out_col="mad",
-        )
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
-    out = med_tbl.merge(mad_tbl[[key, "mad"]], on=key, how="inner")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,15 @@ def read_spatial_store(out_dir: str, bbox, columns=None):
         for part, files in zip(hit["s2_part"], hit["files"])
         for f in files
     ]
-    if not paths:
-        raise FileNotFoundError(f"no partitions intersect bbox {bbox}")
-    return rd.read_parquet(paths, columns=columns)
+    if paths:
+        return rd.read_parquet(paths, columns=columns)
+    if not len(m):
+        raise FileNotFoundError(f"spatial store {out_dir} holds no partitions")
+    # no partition meets the box: a zero-row Dataset typed like a read
+    part, files = m["s2_part"].iloc[0], m["files"].iloc[0]
+    schema = pq.read_schema(
+        os.path.join(out_dir, f"s2_part={part}", files[0])
+    ).remove_metadata().append(pa.field("s2_part", pa.string()))
+    if columns:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.from_arrow(schema.empty_table())

@@ -89,50 +89,6 @@ def topk(ds, by: str, k: int, descending: bool = True, tie_col: str | None = Non
     return small.sort_values(cols, ascending=asc).head(k).reset_index(drop=True)
 
 
-def grouped_topk(ds, group: str, by: str, k: int, descending: bool = True,
-                 tie_col: str | None = None, n_coarse: int = 64):
-    """Exact per-group top-k (``row_number() OVER (PARTITION BY group
-    ORDER BY by) <= k``) without a global sort: a per-batch per-group
-    top-k combiner caps what leaves each batch at groups-in-batch × k
-    rows, then surviving rows co-partition by a coarse hash of the
-    group and each bucket finishes every contained group vectorized
-    (one sort + ``groupby.head``).  Adds ``rn`` (1-based rank within
-    the group).  Group keys hash via a stable within-run factorize —
-    works for string and integer groups alike."""
-    cols = [by] + ([tie_col] if tie_col else [])
-    asc = [not descending] + ([True] if tie_col else [])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(cols, ascending=asc, kind="mergesort")
-        out = df.groupby(group, as_index=False, sort=False).head(k).copy()
-        g = out[group]
-        if g.dtype.kind in "iu":
-            key = g.to_numpy().astype(np.int64)
-        else:
-            # process-independent hash (builtin hash() is seeded per
-            # process and would split a group across Ray workers)
-            import zlib
-
-            key = g.astype(str).map(
-                lambda s: zlib.crc32(s.encode())
-            ).to_numpy().astype(np.int64)
-        out["coarse"] = key % n_coarse
-        return out
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([group] + cols, ascending=[True] + asc,
-                          kind="mergesort")
-        g = g.groupby(group, sort=False).head(k).copy()
-        g["rn"] = g.groupby(group, sort=False).cumcount() + 1
-        return g.drop(columns=["coarse"])
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("coarse")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-
-
 # -- Bloom-filter semi-join prefilter ----------------------------------------
 #
 # At 100 TB the exact key SET of even a "small" side can be too large to

@@ -70,9 +70,10 @@ def checkpointed_partition_write(
     ones that are not written).  ``sort_by``: within-partition order
     before writing.  Summary columns are int64 / float64 by the Python
     type of each value.  When every row falls outside every zone the
-    frame has zero rows but the summary's columns and types; an input
-    with no rows at all leaves no group to summarize and raises
-    ``KeyError``.
+    frame has zero rows but the summary's columns and types.  An input
+    with no rows at all runs no group: its frame takes those columns
+    and types from ``summarize`` of a zero-row table of ``ds``'s
+    schema, which must return typed zero sums.
     """
     store = CheckpointStore(out_dir, key_name=key)
     done = store.completed() if resume else set()
@@ -115,6 +116,13 @@ def checkpointed_partition_write(
         fresh = fresh[fresh.pop("written")]
     recs = [store.lineage(p) for p in sorted(done)]
     recovered = pd.DataFrame([r["summary"] for r in recs if r and "summary" in r])
+    if fresh.columns.empty and recovered.empty:
+        # no group ran and nothing was recovered: the input has no rows
+        zero = summarize(ds.schema().base_schema.empty_table())
+        fresh = pa.schema(
+            [(key, pa.string()), ("salt", pa.int64())]
+            + [(c, _ARROW[type(v)]) for c, v in zero.items()]
+        ).empty_table().to_pandas()
     # an empty frame joins no concat: it has no columns, or dtypes that
     # must not decide the merged ones
     subs = pd.concat([f for f in (fresh, recovered) if len(f)] or [fresh])

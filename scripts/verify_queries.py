@@ -22,22 +22,6 @@ import pandas as pd
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def to_df(res) -> pd.DataFrame:
-    import pandas
-    import pyarrow as pa
-
-    if isinstance(res, pandas.DataFrame):
-        return res
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    df = res.to_pandas()  # ray Dataset
-    if len(df) == 0 and res.schema() is not None:
-        # Dataset.to_pandas() drops the columns of a zero-row Dataset;
-        # its schema still carries them
-        return res.schema().base_schema.empty_table().to_pandas()
-    return df
-
-
 def canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     for c in df.columns:
@@ -85,6 +69,7 @@ def main() -> int:
     from biomass_processing_pipeline_ray.pipelines.queries import (
         build_queries,
         ensure_generated_oracles,
+        to_df,
     )
 
     ensure_generated_oracles(sf_dir)

@@ -110,7 +110,8 @@ def test_ema_events_vs_sequential(rd):
 
 def test_grouped_quantiles_vs_numpy(rd):
     """Element-selection quantiles == numpy quantile(method='lower')."""
-    from biomass_processing_pipeline_ray.stages.analytic import grouped_quantiles
+    from biomass_processing_pipeline_ray.pipelines.queries import to_df
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
     rng = np.random.default_rng(17)
     n = 3000
@@ -120,12 +121,18 @@ def test_grouped_quantiles_vs_numpy(rd):
             "x": rng.uniform(-5, 5, n),
         }
     )
-    df["coarse"] = df["g"].astype(np.int64) % 4
+    qs = {"p25": 0.25, "p90": 0.9}
+
+    def finalize(c):
+        out = {"g": pa.array(c.fips, pa.string()), "n": pa.array(c.n, pa.int64())}
+        for name, q in qs.items():
+            rank = np.floor(q * (c.n - 1)).astype(np.int64)
+            out[name] = pa.array(c["x"].select(rank), pa.float64())
+        return pa.table(out)
+
+    ds = rd.from_pandas(df.rename(columns={"g": "county_fips"}))
     got = (
-        grouped_quantiles(
-            rd.from_pandas(df), "g", "x", {"p25": 0.25, "p90": 0.9}, "coarse"
-        )
-        .to_pandas()
+        to_df(county_zonal(ds, {"x": ("hist", "x")}, finalize))
         .sort_values("g")
         .reset_index(drop=True)
     )
@@ -443,12 +450,14 @@ def test_grouped_auc_matches_pairwise_definition(rd, ray_session):
 
 
 def test_grouped_gini_matches_textbook(rd, ray_session):
-    """grouped_gini == the textbook sorted-rank formula
+    """The Gini finalize over ``county_zonal``'s histogram == the
+    textbook sorted-rank formula
     G = (2·Σ i·x_(i) − (n+1)·Σx) / (n·Σx), on a tie-heavy fixture with
     a perfectly equal group (G = 0) and a maximally concentrated one."""
     import pyarrow as pa
 
-    from biomass_processing_pipeline_ray.stages.analytic import grouped_gini
+    from biomass_processing_pipeline_ray.pipelines.queries import _gini, to_df
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
     rng = np.random.default_rng(11)
     rows = []
@@ -458,16 +467,14 @@ def test_grouped_gini_matches_textbook(rd, ray_session):
     rows += [("c", 0)] * 99 + [("c", 100)]  # one holder -> (n-1)/n
     tbl = pa.table(
         {
-            "g": pa.array([r[0] for r in rows], pa.string()),
+            "county_fips": pa.array([r[0] for r in rows], pa.string()),
             "vq": pa.array([r[1] for r in rows], pa.int64()),
         }
     )
+    ds = rd.from_arrow(tbl).repartition(8)
     got = (
-        grouped_gini(
-            rd.from_arrow(tbl).repartition(8), "g", "vq", lo=0, hi=2048,
-            nbins=64,
-        )
-        .to_pandas()
+        to_df(county_zonal(ds, {"vq": ("hist", "vq")}, _gini))
+        .rename(columns={"county_fips": "g"})
         .sort_values("g")
         .reset_index(drop=True)
     )
@@ -485,12 +492,11 @@ def test_grouped_gini_matches_textbook(rd, ray_session):
 
 
 def test_grouped_winsorized_ties_and_small_groups(rd, ray_session):
-    """Rank-range trimming must be tie-invariant and total for tiny
-    groups (t = 0 when n*5//100 == 0 → trim == plain sum, cuts = min/max
-    elements)."""
-    from biomass_processing_pipeline_ray.stages.analytic import (
-        grouped_winsorized,
-    )
+    """Rank-range trimming over ``county_zonal``'s histogram must be
+    tie-invariant and total for tiny groups (t = 0 when n*5//100 == 0
+    → trim == plain sum, cuts = min/max elements)."""
+    from biomass_processing_pipeline_ray.pipelines.queries import to_df
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
     vals = {
         "a": [5, 1, 1, 1, 9, 9, 9, 2, 2, 2] * 4,  # n=40, t=2, heavy ties
@@ -503,14 +509,23 @@ def test_grouped_winsorized_ties_and_small_groups(rd, ray_session):
         rows_v += vs
     tbl = pa.table(
         {
-            "k": pa.array(rows_k, pa.string()),
+            "county_fips": pa.array(rows_k, pa.string()),
             "v": pa.array(np.asarray(rows_v, np.int64)),
-            "coarse": pa.array(np.zeros(len(rows_k), np.int64)),
         }
     )
+
+    def finalize(c):
+        h, n = c["v"], c.n
+        t = n * 5 // 100
+        lo, hi = h.select(t), h.select(n - 1 - t)
+        trim = h.smallest_sum(n - t) - h.smallest_sum(t)
+        cols = {"k": c.fips, "n": n, "lo_cut": lo, "hi_cut": hi,
+                "trim_sum": trim, "win_sum": trim + t * (lo + hi)}
+        return pa.table({k: pa.array(v, pa.string() if k == "k" else pa.int64())
+                         for k, v in cols.items()})
+
     got = (
-        grouped_winsorized(rd.from_arrow(tbl), "k", "v", "coarse")
-        .to_pandas()
+        to_df(county_zonal(rd.from_arrow(tbl), {"v": ("hist", "v")}, finalize))
         .sort_values("k")
         .reset_index(drop=True)
     )

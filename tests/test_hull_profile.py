@@ -113,7 +113,8 @@ def test_grouped_hull_distributed(rd, ray_session):
 
 
 def test_grouped_mad_vs_numpy(rd, ray_session):
-    from biomass_processing_pipeline_ray.stages.analytic import grouped_mad
+    from biomass_processing_pipeline_ray.pipelines.queries import _mad, to_df
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
     rng = np.random.default_rng(5)
     df = pd.DataFrame(
@@ -122,14 +123,10 @@ def test_grouped_mad_vs_numpy(rd, ray_session):
             "v": rng.integers(0, 10_000, 3000).astype(np.int64),
         }
     )
-    df["coarse"] = df["k"].astype(np.int64) % 4
-
-    def make_ds():
-        return rd.from_pandas(df).repartition(6)
-
+    ds = rd.from_pandas(df.rename(columns={"k": "county_fips"})).repartition(6)
     got = (
-        grouped_mad(make_ds, "k", "v", "coarse")
-        .to_pandas()
+        to_df(county_zonal(ds, {"vq": ("hist", "v")}, _mad))
+        .rename(columns={"county_fips": "k"})
         .sort_values("k")
         .reset_index(drop=True)
     )

@@ -1622,9 +1622,10 @@ def test_incremental_merge_equals_oneshot(rd, ray_session, tmp_path):
 
 def test_grouped_topk_vs_pandas(rd, ray_session):
     """Per-group top-k == pandas row_number oracle, with string group
-    keys split across many blocks (combiner + coarse-bucket merge must
-    reassemble every group exactly)."""
-    from biomass_processing_pipeline_ray.stages.relational import grouped_topk
+    keys split across many blocks (per-batch top-k + the county
+    exchange must reassemble every group exactly)."""
+    from biomass_processing_pipeline_ray.pipelines.queries import to_df
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
     rng = np.random.default_rng(71)
     n = 5000
@@ -1635,10 +1636,22 @@ def test_grouped_topk_vs_pandas(rd, ray_session):
             "v": rng.uniform(0, 100, n),
         }
     )
-    ds = rd.from_pandas(df).repartition(16)  # force cross-block groups
+    # force cross-block groups
+    ds = rd.from_pandas(df.rename(columns={"g": "county_fips"})).repartition(16)
+
+    def finalize(c):
+        t = c["top"]
+        return pa.table(
+            {
+                "g": pa.array(c.fips[t.county], pa.string()),
+                "id": pa.array(t.tie, pa.int64()),
+                "v": pa.array(t.by, pa.float64()),
+                "rn": pa.array(np.arange(len(t.by)) - t.start[t.county] + 1, pa.int64()),
+            }
+        )
+
     got = (
-        grouped_topk(ds, group="g", by="v", k=5, descending=True, tie_col="id")
-        .to_pandas()
+        to_df(county_zonal(ds, {"top": ("top", 5, "v", "id")}, finalize))
         .sort_values(["g", "rn"])
         .reset_index(drop=True)
     )

@@ -90,7 +90,9 @@ def test_registry_is_the_tile_engine(registry):
 @pytest.mark.parametrize("name", ENTRIES)
 def test_entry_matches_oracle(registry, name):
     import duckdb
-    from verify_queries import compare, to_df
+    from verify_queries import compare
+
+    from biomass_processing_pipeline_ray.pipelines.queries import to_df
 
     fn, sql = registry[name]
     got = to_df(fn(SF))

@@ -273,6 +273,36 @@ def test_county_layer_far_from_every_tile(ray_session, tiles_small, tmp_path):
     assert len(fast) == 0
 
 
+def test_zero_row_tiles_input(ray_session, tiles_small, tmp_path):
+    """A tiles dir holding one zero-row parquet: no group reaches the
+    checkpointed sink, yet both checkpointed pipelines return a typed
+    zero-row frame (the columns and dtypes of a normal run) and write
+    no partition."""
+    import glob
+    import os
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import (
+        biomass_zonal_checkpointed,
+    )
+    from biomass_processing_pipeline_ray.pipelines.sweep import (
+        curation_sweep_checkpointed,
+    )
+    from biomass_processing_pipeline_ray.state.checkpoint import CheckpointStore
+
+    src = sorted(glob.glob(os.path.join(tiles_small, "*.parquet")))[0]
+    tiles = tmp_path / "tiles_empty"
+    tiles.mkdir()
+    pq.write_table(pq.read_schema(src).empty_table(), str(tiles / "part-0.parquet"))
+    for fn in (biomass_zonal_checkpointed, curation_sweep_checkpointed):
+        normal = fn(tiles_small, str(tmp_path / f"{fn.__name__}_normal"), n_tiles=1000)
+        out = str(tmp_path / fn.__name__)
+        empty = fn(str(tiles), out, n_tiles=1000)
+        assert len(empty) == 0
+        assert list(empty.columns) == list(normal.columns)
+        assert empty.dtypes.equals(normal.dtypes)
+        assert CheckpointStore(out).completed() == set()
+
+
 def test_resume_filter_shares_partition_ids(ray_session, tiles_small, tmp_path):
     """The pre-decode resume filter and the store name partitions the
     same way: with some partitions invalidated, exactly the tiles of
