@@ -19,8 +19,9 @@ SURVEY.md §3.2), restructured for a streaming engine:
    (county, salt) sub-partitions never decode again) — the reference
    instead paid county setup before every run (381 s of its 398 s
    benchmark, ``FULL_COUNTY_TEST_RESULTS.md:24-36``).
-3. **Zonal aggregation** either as the no-shuffle partial-combine path
-   (bench/queries) or as the checkpointed path: salted
+3. **Zonal aggregation** either through the engine's bounded-key
+   combine, ``stages/zonal.county_zonal`` (bench/queries), or as the
+   checkpointed path: salted
    ``(county_fips, salt)`` groups each writing an atomic partition +
    lineage record through the one sink, ``state.ckptwrite`` (north-rule
    skew key; a hot county becomes n_salts parallel tasks).
@@ -161,20 +162,6 @@ def _parquet_files(path: str) -> list[str]:
     )
 
 
-def _unreserved(ds):
-    """``ds`` with Ray Data's per-operator resource reservation off.
-
-    For a per-tile stage whose consumers are shuffle barriers (groupby,
-    repartition, sort) and the small maps behind them.  Those cannot
-    start before the stage ends, yet the reservation holds CPUs for them
-    all along: on 4 CPUs it left the stage a budget of 1.25 CPUs, one
-    task at a time.  The setting lives in the context ``ds`` shares with
-    the datasets it was derived from and the ones derived from it.
-    """
-    ds.context.op_resource_reservation_enabled = False
-    return ds
-
-
 def build_assignments(
     tiles,
     counties: pa.Table | None = None,
@@ -257,20 +244,18 @@ def build_assignments(
     if paths is not None:
         import ray.data as rd
 
-        out = rd.from_items(paths).map_batches(
+        return rd.from_items(paths).map_batches(
             TileGeoStageFused(**kwargs),
             batch_format="pyarrow",
             batch_size=1,  # one file per task: retry/backpressure unit
         )
-    else:
-        out = tiles.map_batches(
-            TileGeoStage(**kwargs), batch_format="pyarrow", batch_size=bs
-        )
-    return _unreserved(out)
+    return tiles.map_batches(
+        TileGeoStage(**kwargs), batch_format="pyarrow", batch_size=bs
+    )
 
 
 def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, **kw):
-    """Fast path: assignments → partial-combine zonal aggregate Dataset.
+    """Fast path: assignments → ``zonal_aggregate`` Dataset.
 
     Corrupt tiles (``shape_ok == False``, NaN ndvi/biomass from decode
     error-isolation) are filtered BEFORE aggregation so a single bad
@@ -278,26 +263,18 @@ def biomass_zonal(tiles, counties=None, n_tiles=None, snap_sums: bool = False, *
     valid tiles only.  Tiles outside every county (``county_fips ==
     ""``) are dropped too — the same contract as the checkpointed path.
 
-    ``snap_sums=True`` quantizes ndvi/biomass to the 2^-20 lattice so
+    The combine sums ndvi/biomass snapped to the 2^-20 lattice, so
     parallel partial sums equal a sequential oracle sum bit-wise (the
     correctness-gate float parity rule, see functions/rounding.py).
+    ``snap_sums`` is accepted for older callers and has no effect.
     """
-    from ..functions.rounding import snap_binary
-
     ds = build_assignments(tiles, counties, n_tiles, **kw)
 
     def valid_rows(b: pa.Table) -> pa.Table:
         keep = pc.not_equal(b["county_fips"], "")
         if "shape_ok" in b.column_names:
             keep = pc.and_(keep, b["shape_ok"])
-        b = b.filter(keep)
-        if snap_sums:
-            for col in ("biomass", "ndvi"):
-                idx = b.column_names.index(col)
-                b = b.set_column(
-                    idx, col, pa.array(snap_binary(b[col].to_numpy()))
-                )
-        return b
+        return b.filter(keep)
 
     ds = ds.map_batches(valid_rows, batch_format="pyarrow")
     return zonal_aggregate(ds, sum_cols=("biomass", "ndvi"))

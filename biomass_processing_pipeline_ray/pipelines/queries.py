@@ -139,40 +139,13 @@ def _pip(ds, counties: pa.Table | None = None):
     return ds.map_batches(joiner, batch_format="pyarrow", batch_size=8192)
 
 
-def _grouped_sums(ds, keys: list[str], sums: dict[str, str],
-                  count_col: str | None):
-    """Partial-combine groupby-sum: per-batch pandas combiner → tiny
-    shuffle → Sum merge (the scale pattern used everywhere here).
-    ``count_col=None`` skips the row count (pure sums)."""
-    from ray.data.aggregate import Sum
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        agg = {out: (src, "sum") for out, src in sums.items()}
-        if count_col:
-            agg[count_col] = (
-                list(sums.values())[0] if sums else df.columns[0], "size"
-            )
-        g = df.groupby(keys, as_index=False).agg(**agg)
-        if count_col:
-            g[count_col] = g[count_col].astype(np.int64)
-        return g
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    aggs = [Sum(c, alias_name=c) for c in sums]
-    if count_col:
-        aggs.append(Sum(count_col, alias_name=count_col))
-    from ..stages.zonal import combine_partials
-
-    return combine_partials(partials, keys, aggs)
-
-
 def _bucketed_sums(ds, key: str, sums: dict[str, str], count_col: str | None,
                    nb: int = 1024):
     """Grouped sums for HIGH-cardinality keys — thin wrapper over
     ``stages/zonal.bucketed_agg`` (coarse hash buckets + vectorized
     in-bucket pandas groupby; the native Sum aggregate is pathological
     beyond ~10⁴ distinct keys — see that docstring for measurements).
-    `_grouped_sums`/`combine_partials` stays the bounded-key path."""
+    ``county_zonal`` is the bounded-key path."""
     from ..stages.zonal import bucketed_agg
 
     aggs: dict[str, tuple[str, str]] = {out: (src, "sum") for out, src in sums.items()}
@@ -757,20 +730,24 @@ def q_zonal_biomass_px(sf_dir: str):
     Hash-checked against the independently generated per-tile decode
     oracle (``pipelines/oracles.py``): ndvi/biomass are snapped to the
     2^-20 lattice post-decode so the engine's parallel partial sums
-    equal the oracle SQL's sequential sums bit-wise."""
+    equal the oracle SQL's sequential sums bit-wise (the combine snaps
+    every float sum)."""
     from .biomass import biomass_zonal
 
     n = universe_n(sf_dir)
-    return biomass_zonal(tiles_path(sf_dir), n_tiles=n, snap_sums=True)
+    return biomass_zonal(tiles_path(sf_dir), n_tiles=n)
 
 
 def q_county_top10(sf_dir: str):
-    """Top-10 counties by zonal biomass (sort/limit via partial top-k)."""
-    from ..stages.relational import topk
+    """Top-10 counties by zonal biomass, ties by county: the ≤ 64-row
+    zonal summary is ordered in the calling process.  A Dataset typed
+    like the summary, also with zero rows."""
+    import ray.data as rd
 
-    ds = q_zonal_biomass(sf_dir)
-    out = topk(ds, by="biomass_sum", k=10, descending=True, tie_col="county_fips")
-    return out[["county_fips", "tile_count", "biomass_sum", "biomass_mean"]]
+    zonal = q_zonal_biomass(sf_dir).materialize()
+    t = pa.Table.from_pylist(zonal.take_all(), schema=zonal.schema().base_schema)
+    top = t.sort_by([("biomass_sum", "descending"), ("county_fips", "ascending")])
+    return rd.from_arrow(top.slice(0, 10))
 
 
 def _sql_county_top10(n: int) -> str:
@@ -1147,25 +1124,23 @@ def q_tile_meta_stats(sf_dir: str):
             }
         )
 
-    g = _grouped_sums(
-        ds.map_batches(prep, batch_format="pyarrow"),
-        ["fmt"],
-        {"total_px": "px", "sum_w": "w"},
-        "n_tiles",
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        cnt = b["n_tiles"].to_numpy().astype(np.float64)
+    def finalize(c: Counties) -> pa.Table:
+        sum_w = np.asarray(c["sum_w"], np.float64)
         return pa.table(
             {
-                "fmt": b["fmt"],
-                "n_tiles": b["n_tiles"],
-                "total_px": b["total_px"],
-                "avg_w": pa.array(round_away(b["sum_w"].to_numpy() / cnt, 4)),
+                "fmt": pa.array(c.fips, pa.string()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+                "total_px": pa.array(c["total_px"], pa.int64()),
+                "avg_w": pa.array(round_away(sum_w / c.n, 4)),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    return county_zonal(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        {"total_px": ("sum", "px"), "sum_w": ("sum", "w")},
+        finalize,
+        key="fmt",
+    )
 
 
 def _sql_tile_meta_stats(n: int) -> str:
@@ -1335,12 +1310,10 @@ def q_county_gradient(sf_dir: str):
     import ray.data as rd
 
     from ..stages.multimodal import ImageGradientStageFused
-    from .biomass import _parquet_files, _unreserved
+    from .biomass import _parquet_files
 
-    out = _unreserved(
-        rd.from_items(_parquet_files(tiles_path(sf_dir))).map_batches(
-            ImageGradientStageFused(), batch_format="pyarrow", batch_size=1
-        )
+    out = rd.from_items(_parquet_files(tiles_path(sf_dir))).map_batches(
+        ImageGradientStageFused(), batch_format="pyarrow", batch_size=1
     )
 
     def add_fips(b: pa.Table) -> pa.Table:
@@ -1357,11 +1330,20 @@ def q_county_gradient(sf_dir: str):
             }
         )
 
-    return _grouped_sums(
+    def finalize(c: Counties) -> pa.Table:
+        return pa.table(
+            {
+                "county_fips": pa.array(c.fips, pa.string()),
+                "grad_sum": pa.array(c["grad_sum"], pa.int64()),
+                "px_sum": pa.array(c["px_sum"], pa.int64()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+            }
+        )
+
+    return county_zonal(
         out.map_batches(add_fips, batch_format="pyarrow"),
-        ["county_fips"],
-        {"grad_sum": "grad", "px_sum": "n_px"},
-        "n_tiles",
+        {"grad_sum": ("sum", "grad"), "px_sum": ("sum", "n_px")},
+        finalize,
     )
 
 
@@ -1387,7 +1369,6 @@ def q_psnr_verify_pairs(sf_dir: str):
     from ..sources.tiles import read_tiles
     from ..stages.dedup import phash_neardup_pairs
     from ..stages.psnrverify import psnr_verify_pairs
-    from .biomass import _unreserved
 
     path = tiles_path(sf_dir)
     n = universe_n(sf_dir)
@@ -1395,8 +1376,7 @@ def q_psnr_verify_pairs(sf_dir: str):
         read_tiles(path, columns=["image_id", "phash"]), max_hamming=3, n_rows=n
     )
     tiles = read_tiles(path, columns=["image_id", "bytes", "w", "h", "fmt"])
-    # the decode stage feeds the pair-bucket shuffle
-    return psnr_verify_pairs(_unreserved(tiles), pairs)
+    return psnr_verify_pairs(tiles, pairs)
 
 
 def _tiles_with_county(sf_dir: str, columns: list[str]):
@@ -1636,28 +1616,28 @@ def q_county_clip_stats(sf_dir: str):
         b = b.filter(b["clip_ok"])
         return b.select(["county_fips", "n_px", "n_in", "val_sum"])
 
-    g = _grouped_sums(
-        per_tile.map_batches(clip_rows, batch_format="pyarrow"),
-        ["county_fips"],
-        {"px_total": "n_px", "px_in": "n_in", "val_sum": "val_sum"},
-        "n_tiles",
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        vs = b["val_sum"].to_numpy()
-        pin = b["px_in"].to_numpy().astype(np.float64)
+    def finalize(c: Counties) -> pa.Table:
+        vs = np.asarray(c["val_sum"], np.float64)
+        pin = np.asarray(c["px_in"], np.float64)
         return pa.table(
             {
-                "county_fips": b["county_fips"],
-                "n_tiles": b["n_tiles"],
-                "px_total": b["px_total"],
-                "px_in": b["px_in"],
+                "county_fips": pa.array(c.fips, pa.string()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+                "px_total": pa.array(c["px_total"], pa.int64()),
+                "px_in": pa.array(c["px_in"], pa.int64()),
                 "val_sum": pa.array(round_away(vs, 6)),
                 "val_mean": pa.array(round_away(vs / pin, 6)),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    products = {
+        "px_total": ("sum", "n_px"),
+        "px_in": ("sum", "n_in"),
+        "val_sum": ("sum", "val_sum"),
+    }
+    return county_zonal(
+        per_tile.map_batches(clip_rows, batch_format="pyarrow"), products, finalize
+    )
 
 
 def q_curation_sweep(sf_dir: str):
@@ -1674,9 +1654,6 @@ def q_curation_sweep(sf_dir: str):
     parquets — the same oracles that gate the standalone queries, so
     agreement here proves the fused outputs equal the standalone
     ones)."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.zonal import combine_partials
     from .biomass import build_assignments
     from .sweep import SUM_COLS, curation_finalize, curation_partial
 
@@ -1691,12 +1668,11 @@ def q_curation_sweep(sf_dir: str):
         stitch_knn=False,
     )
 
-    merged = combine_partials(
+    return county_zonal(
         per_tile.map_batches(curation_partial, batch_format="pyarrow"),
-        "county_fips",
-        [Sum(c, alias_name=c) for c in SUM_COLS],
+        {c: ("sum", c) for c in SUM_COLS},
+        lambda c: curation_finalize(c.fips, c),
     )
-    return merged.map_batches(curation_finalize, batch_format="pyarrow")
 
 
 def _sql_curation_sweep(n: int) -> str:
@@ -2736,58 +2712,6 @@ def _sql_hex_ring_smooth(n: int) -> str:
     """
 
 
-def q_label_centroids(sf_dir: str):
-    """Per-label embedding centroid (list-column aggregation surface):
-    distributed vector mean via per-batch matrix partial sums
-    (``np.add.at`` over label groups — one combiner row per label per
-    batch carries the WHOLE vector as 64 (label, dim) rows), merged by
-    a bounded grouped sum.  Elements snap to the lattice after the
-    exact float32→float64 widening, so parallel partials equal DuckDB's
-    positional-unnest re-summation bit-for-bit."""
-    ds = _tbl(sf_dir, "embeddings", ["label", "embedding"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lab = b["label"].to_numpy().astype(np.int64)
-        emb = np.stack(b["embedding"].to_numpy(zero_copy_only=False)).astype(
-            np.float64
-        )
-        emb = snap_binary(emb)
-        uniq, inv = np.unique(lab, return_inverse=True)
-        sums = np.zeros((len(uniq), emb.shape[1]), dtype=np.float64)
-        np.add.at(sums, inv, emb)
-        counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        d = emb.shape[1]
-        return pa.table(
-            {
-                "label": pa.array(np.repeat(uniq, d), pa.int64()),
-                "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), len(uniq))),
-                "s": pa.array(sums.ravel(), pa.float64()),
-                "n": pa.array(np.repeat(counts, d), pa.int64()),
-            }
-        )
-
-    g = _grouped_sums(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["label", "dim"],
-        {"s": "s", "n": "n"},
-        None,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        s = b["s"].to_numpy()
-        n = b["n"].to_numpy().astype(np.float64)
-        return pa.table(
-            {
-                "label": b["label"],
-                "dim": b["dim"],
-                "centroid": pa.array(s / n, pa.float64()),
-                "n": b["n"],
-            }
-        )
-
-    return g.map_batches(finalize, batch_format="pyarrow")
-
-
 _CAP_RE = r"lon (-?\d+\.\d+) lat (-?\d+\.\d+)"
 
 
@@ -2814,23 +2738,22 @@ def q_caption_cell_stats(sf_dir: str):
             }
         )
 
-    g = _grouped_sums(
-        cap.map_batches(extract, batch_format="pyarrow"),
-        ["cell"],
-        {"lat_sum": "lat"},
-        "n_tiles",
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
+    def finalize(c: Counties) -> pa.Table:
+        lat_sum = np.asarray(c["lat_sum"], np.float64)
         return pa.table(
             {
-                "cell": b["cell"],
-                "n_tiles": b["n_tiles"],
-                "lat_sum": pa.array(round_away(b["lat_sum"].to_numpy(), 4)),
+                "cell": pa.array(c.fips, pa.int64()),
+                "n_tiles": pa.array(c.n, pa.int64()),
+                "lat_sum": pa.array(round_away(lat_sum, 4)),
             }
         )
 
-    return g.map_batches(finalize, batch_format="pyarrow")
+    return county_zonal(
+        cap.map_batches(extract, batch_format="pyarrow"),
+        {"lat_sum": ("sum", "lat")},
+        finalize,
+        key="cell",
+    )
 
 
 def _sql_caption_cell_stats(sf_dir: str) -> str:
@@ -3266,61 +3189,6 @@ def _sql_county_fmt_rollup(n: int) -> str:
     FROM {_sql_tiles_with_county(n)}
     GROUP BY GROUPING SETS ((county_fips, fmt), (county_fips), ())
     """
-
-
-_CKSUM_BUCKETS = 64
-_CKSUM_MOD = 2305843009213693951  # 2^61 - 1
-
-
-def q_orders_checksum(sf_dir: str):
-    """Distributed table-integrity signature: a deterministic per-row
-    integer hash summed per key bucket — 64 signature rows stand in for
-    the whole table, so a 100 TB copy/migration verifies by comparing
-    signatures, never by moving rows.  Pure per-batch integer math +
-    one bounded aggregate."""
-    ds = _tbl(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        ok = b["o_orderkey"].to_numpy().astype(np.int64)
-        ck = b["o_custkey"].to_numpy().astype(np.int64)
-        cents = round_away(b["o_totalprice"].to_numpy() * 100.0, 0).astype(np.int64)
-        h = (ok * 2654435761 + ck * 40503 + cents) % 2147483648
-        bk = ok % _CKSUM_BUCKETS
-        g = (
-            pd.DataFrame({"bucket": bk, "h": h})
-            .groupby("bucket", as_index=False)
-            .agg(checksum=("h", "sum"), n_rows=("h", "size"))
-        )
-        return pa.table(
-            {
-                "bucket": pa.array(g["bucket"].to_numpy(np.int64)),
-                "checksum": pa.array(g["checksum"].to_numpy(np.int64)),
-                "n_rows": pa.array(g["n_rows"].to_numpy(np.int64)),
-            }
-        )
-
-    g = _grouped_sums(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["bucket"],
-        {"checksum": "checksum", "n_rows": "n_rows"},
-        None,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        # fold after the exact sum: per-row h < 2^31, so the true sum
-        # stays below 2^63 up to ~4e9 rows per bucket; beyond that the
-        # partial sums themselves would fold (documented scale bound)
-        return pa.table(
-            {
-                "bucket": b["bucket"],
-                "checksum": pa.array(
-                    b["checksum"].to_numpy() % _CKSUM_MOD, pa.int64()
-                ),
-                "n_rows": b["n_rows"],
-            }
-        )
-
-    return g.map_batches(finalize, batch_format="pyarrow")
 
 
 _RERANK_SHORTLIST = 50  # PQ-ADC candidates per query before exact rerank

@@ -14,8 +14,9 @@ decode once, fan every product out of that pass, resume by partition.
 The per-county products are defined once, here: :func:`curation_sums`
 sums a batch per county and :func:`curation_finalize` rounds the merged
 sums.  Each checkpointed partition is summed with ``curation_sums``;
-the fast registry path (``queries.q_curation_sweep``) combines the
-``curation_partial`` of each of its batches.
+the fast registry path (``queries.q_curation_sweep``) merges the
+``curation_partial`` of each of its batches with ``SUM_COLS`` as
+``stages/zonal.county_zonal`` sum products.
 """
 
 from __future__ import annotations
@@ -87,23 +88,30 @@ def curation_partial(b: pa.Table) -> pa.Table:
     return curation_sums(b.filter(pc.not_equal(b["county_fips"], "")))
 
 
-def curation_finalize(b: pa.Table) -> pa.Table:
-    """Merged per-county sums → the ``curation_sweep`` column contract."""
-    cnt = b["tile_count"].to_numpy().astype(np.float64)
+def curation_finalize(fips, sums) -> pa.Table:
+    """Merged per-county sums → the ``curation_sweep`` column contract.
+    ``fips`` holds the counties and ``sums[c]`` each ``SUM_COLS``
+    column (a DataFrame or a ``county_zonal`` state)."""
+
+    def ints(c: str) -> pa.Array:
+        return pa.array(sums[c], pa.int64())
+
+    def floats(c: str) -> np.ndarray:
+        return np.asarray(sums[c], np.float64)
+
+    cnt = floats("tile_count")
     return pa.table(
         {
-            "county_fips": b["county_fips"],
-            "tile_count": b["tile_count"],
-            "biomass_sum": pa.array(round_away(b["biomass_sum"].to_numpy(), 4)),
-            "ndvi_mean": pa.array(round_away(b["ndvi_sum"].to_numpy() / cnt, 4)),
-            "px_total": b["px_total"],
-            "px_in": b["px_in"],
-            "val_sum": pa.array(round_away(b["val_sum"].to_numpy(), 6)),
-            "grad_sum": b["grad_sum"],
-            "thumb_mean_sum": pa.array(
-                round_away(b["thumb_mean_sum"].to_numpy(), 6)
-            ),
-            "thumb_ph16_sum": b["thumb_ph16_sum"],
+            "county_fips": pa.array(fips, pa.string()),
+            "tile_count": ints("tile_count"),
+            "biomass_sum": pa.array(round_away(floats("biomass_sum"), 4)),
+            "ndvi_mean": pa.array(round_away(floats("ndvi_sum") / cnt, 4)),
+            "px_total": ints("px_total"),
+            "px_in": ints("px_in"),
+            "val_sum": pa.array(round_away(floats("val_sum"), 6)),
+            "grad_sum": ints("grad_sum"),
+            "thumb_mean_sum": pa.array(round_away(floats("thumb_mean_sum"), 6)),
+            "thumb_ph16_sum": ints("thumb_ph16_sum"),
         }
     )
 
@@ -146,4 +154,4 @@ def curation_sweep_checkpointed(
         ["image_id"],
         resume,
     )
-    return curation_finalize(pa.Table.from_pandas(sums, preserve_index=False)).to_pandas()
+    return curation_finalize(sums["county_fips"], sums).to_pandas()

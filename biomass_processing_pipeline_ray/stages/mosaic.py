@@ -60,7 +60,8 @@ Scale shape (owner-computes spatial bucketing, decode-before-shuffle):
    every fill is a region op.  A bucket lies in ONE county column and
    crosses at most one county-row boundary, so the county reduce runs
    over ≤ 2 canvas row segments — no per-pixel key array, no groupby.
-3. Bucket partials (≤ |buckets| × 2 narrow rows) → county rollup.
+3. Bucket partials (≤ |buckets| × 2 narrow rows) → county rollup
+   through the engine's bounded-key combine, ``zonal.county_zonal``.
 
 Value snap: ``snap_binary`` AFTER the max — floor-snap is monotonic, so
 snap(max(a, b)) == max(snap(a), snap(b)).  Every summed value lies on
@@ -270,10 +271,9 @@ def mosaic_zonal(ds, products):
       (~12 B/tile), but Ray's sort scales its barrier with input-block
       COUNT (3M tiles: 733 blocks → 55 s sort wall on 75 MB; 32 blocks
       → seconds)."""
-    import ray.data as rd
     from ray.data.context import ShuffleStrategy
 
-    from .zonal import bucketed_agg
+    from .zonal import county_zonal
 
     if not products or set(products) - PRODUCTS.keys():
         raise ValueError(
@@ -285,7 +285,6 @@ def mosaic_zonal(ds, products):
         [("county_fips", pa.string()), ("n_px", pa.int64())]
         + [f for p in products for f in PRODUCTS[p]]
     )
-    sums = schema.names[1:]
     if "max" in products or "mean" in products:
         ds.context.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
         slices = ds.map_batches(decode_slices, batch_format="pyarrow")
@@ -295,21 +294,17 @@ def mosaic_zonal(ds, products):
     parts = slices.groupby("bucket").map_groups(
         composite_bucket, fn_kwargs={"products": products}, batch_format="pandas"
     )
-    out = bucketed_agg(parts, ["county_fips"], {c: (c, "sum") for c in sums}, nb=16)
 
-    def finalize(b: pa.Table) -> pa.Table:
-        cols = {"county_fips": b["county_fips"]}
-        for c in sums:
-            x = b[c].to_numpy()
-            floaty = schema.field(c).type == pa.float64()
-            cols[c] = round_away(x, 6) if floaty else x.astype(np.int64)
-        return pa.table(cols, schema=schema)
+    def finalize(c) -> pa.Table:
+        cols = [pa.array(c.fips, pa.string())]
+        for f in schema.remove(0):
+            x = c[f.name]
+            if f.type == pa.float64():
+                x = round_away(np.asarray(x, np.float64), 6)
+            cols.append(pa.array(x, f.type))
+        return pa.Table.from_arrays(cols, schema=schema)
 
-    # an empty input runs no group, so the result would have no schema;
-    # the typed empty block gives it ``schema`` in every case
-    return out.map_batches(finalize, batch_format="pyarrow").union(
-        rd.from_arrow(schema.empty_table())
-    )
+    return county_zonal(parts, {c: ("sum", c) for c in schema.names[1:]}, finalize)
 
 
 OVL_BUCKET = 512  # overlap-join bucket edge in px (footprints ≤ 64 px)

@@ -45,6 +45,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .zonal import unreserved
+
 _OUT_SCHEMA = pa.schema(
     [
         ("a", pa.string()),
@@ -183,7 +185,8 @@ def psnr_verify_pairs(tiles_ds, pairs_ds, n_buckets: int = 64):
     order = np.lexsort((memb_side, memb_pair, memb_ids))
     meta_ref = ray.put((a_ids, b_ids, hams))
 
-    routed = tiles_ds.map_batches(
+    # the decode stage feeds the pair-bucket shuffle
+    routed = unreserved(tiles_ds).map_batches(
         _decode_candidates,
         fn_kwargs={
             "memb_ids": memb_ids[order],

@@ -12,23 +12,25 @@ reference's McLean-vs-Rich 6× imbalance): a hot county contributes at
 most ``num_batches`` partial rows, not 10^9 tile rows, so no salting of
 the final key is needed — the salt is effectively the batch id.
 
-Two entry points follow that design:
+One entry point follows that design, :func:`county_zonal`: many
+per-key products as one pass over exact, mergeable partials (in the
+spirit of Raptor: one raster⋈vector pass serving many zonal products).
+It is the engine's combine for every bounded-key aggregate: keys are
+counties, formats or 1° cells.  A product is a ``sum`` (exact int64, or
+float64 snapped to the 2^-20 lattice), a ``min`` / ``max``, a ``hist``
+(the exact value → count multiset, numeric or string) or a ``top`` (k
+rows by one column, ties by another).  The partials meet in one
+exchange on the key, and a per-query ``finalize`` turns each key's
+merged state into its output rows: the headline's counts, sums and
+means (:func:`zonal_aggregate`), correlation and regression from
+integer moment sums, quantiles / MAD / winsorized means / Gini by
+element selection over the sorted histogram, coverage as a distinct
+count, the format histogram and everything derived from it, bounds,
+edge distances, per-county top-k and the mosaic's county rollup.
 
-- :func:`zonal_aggregate` — the headline's count + sum + mean per
-  county (:func:`zonal_partial` → :func:`combine_partials`);
-- :func:`county_zonal` — every other per-county statistic, as one pass
-  over exact, mergeable per-county partials (in the spirit of Raptor:
-  one raster⋈vector pass serving many zonal products).  A product is a
-  ``sum`` (exact int64, or float64 snapped to the 2^-20 lattice), a
-  ``min`` / ``max``, a ``hist`` (the exact value → count multiset,
-  numeric or string) or a ``top`` (k rows by one column, ties by
-  another).  The partials meet in one exchange on ``county_fips``,
-  and a per-query ``finalize`` turns each county's merged state into
-  its output rows: correlation and regression from integer moment
-  sums, quantiles / MAD / winsorized means / Gini by element selection
-  over the sorted histogram, coverage as a distinct count, the format
-  histogram and everything derived from it, bounds, edge distances and
-  per-county top-k.
+:func:`bucketed_agg` is the combine for HIGH-cardinality keys, and
+:func:`combine_partials` serves only the off-paper window, incremental
+and analytic families.
 """
 
 from __future__ import annotations
@@ -46,26 +48,33 @@ from ..functions.rounding import round_away, snap_binary
 _SUM_COLS = ("biomass", "ndvi")
 
 
-def combine_partials(partial, keys, aggs):
-    """groupby().aggregate() for BOUNDED-cardinality partials.
+def _coalesce(partials):
+    """Bounded-key partials in a few substantial blocks.
 
     Combiner outputs are one row per key per input block — hundreds to
-    hundreds of thousands of near-empty blocks at scale, and Ray's
-    sort-aggregate pays a fixed per-block cost (measured ~50 ms/block:
-    7+ s of the round-2 headline went to aggregating 9k tiny rows).
-    Coalesce the partials into a few substantial blocks first
-    (``repartition`` without shuffle = plain split/merge, no all-to-all)
-    and aggregate those.  Block count scales with the cluster so the
-    AggregateMap still parallelizes across nodes; float parity is
-    unaffected because every summed double is lattice-snapped, making
-    partial-sum merges exact in any grouping/order (functions/rounding).
-    Only for small-key aggregates — high-cardinality groupbys (dedup
-    pair keys) keep their block-parallel layout."""
+    hundreds of thousands of near-empty blocks at scale, and Ray's sort
+    pays a fixed per-block cost (measured ~50 ms/block: 7+ s of the
+    round-2 headline went to aggregating 9k tiny rows; 210 caption
+    blocks cost an sf0.01 fmt/cell rollup 8 s against 3.4 s coalesced).
+    ``repartition`` without shuffle is a plain split/merge, no
+    all-to-all.  Block count scales with the cluster so the exchange
+    still parallelizes across nodes; results are unaffected because
+    every partial merges exactly in any grouping and order.  Only for
+    small-key aggregates — high-cardinality groupbys (dedup pair keys)
+    keep their block-parallel layout."""
     import ray
 
     ncpus = int(ray.cluster_resources().get("CPU", 4))
-    k = max(4, ncpus // 4)
-    return partial.repartition(k).groupby(keys).aggregate(*aggs)
+    return partials.repartition(max(4, ncpus // 4))
+
+
+def combine_partials(partial, keys, aggs):
+    """groupby().aggregate() for BOUNDED-cardinality partials, over
+    :func:`_coalesce`'d blocks; float sums must be lattice-snapped.
+    The engine's own bounded-key aggregates run on
+    :func:`county_zonal`; this serves the off-paper window,
+    incremental and analytic families."""
+    return _coalesce(partial).groupby(keys).aggregate(*aggs)
 
 
 def bucketed_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
@@ -76,9 +85,8 @@ def bucketed_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
     Ray's native sort-aggregate pays per-distinct-key costs that turn
     pathological beyond ~10⁴ keys (measured: 84 s for a 3-Sum over 37k
     hex cells vs ~2 s through this path; 20 s → ~4 s for the
-    heavy-hitter summary merge).  `combine_partials` stays the path for
-    BOUNDED-key aggregates, where the coalesce + native aggregate is
-    simpler and equally fast.
+    heavy-hitter summary merge).  :func:`county_zonal` is the path for
+    BOUNDED-key aggregates.
 
     ``aggs`` maps output column → (source column, how) with how ∈
     {"sum", "min", "max", "size"}.  Results are grouping-invariant
@@ -110,58 +118,27 @@ def bucketed_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
     )
 
 
-def zonal_partial(batch: pa.Table, key: str = "county_fips", sum_cols=_SUM_COLS) -> pa.Table:
-    """Combiner: one partial row per county per batch."""
-    keys = np.asarray(batch[key].to_pylist(), dtype=object)
-    uniq, inv = np.unique(keys.astype(str), return_inverse=True)
-    out = {key: pa.array(uniq, pa.string())}
-    out["tile_count"] = pa.array(np.bincount(inv, minlength=len(uniq)).astype(np.int64))
-    for c in sum_cols:
-        vals = batch[c].to_numpy()
-        out[f"{c}_sum"] = pa.array(np.bincount(inv, weights=vals, minlength=len(uniq)))
-    return pa.table(out)
+def unreserved(ds):
+    """``ds`` with Ray Data's per-operator resource reservation off.
 
-
-def zonal_aggregate(
-    ds,
-    key: str = "county_fips",
-    sum_cols=_SUM_COLS,
-    mean_round: int | None = 4,
-    sum_round: int | None = 4,
-):
-    """partial-combine → small groupby → finalize means. Returns a Dataset."""
-    from ray.data.aggregate import Sum
-
-    partial = ds.map_batches(
-        lambda b: zonal_partial(b, key, sum_cols), batch_format="pyarrow"
-    )
-    aggs = [Sum("tile_count", alias_name="tile_count")]
-    for c in sum_cols:
-        aggs.append(Sum(f"{c}_sum", alias_name=f"{c}_sum"))
-    merged = combine_partials(partial, key, aggs)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cnt = batch["tile_count"].to_numpy().astype(np.float64)
-        cols: dict = {
-            key: batch[key],
-            "tile_count": batch["tile_count"],
-        }
-        for c in sum_cols:
-            s = batch[f"{c}_sum"].to_numpy()
-            cols[f"{c}_sum"] = pa.array(
-                s if sum_round is None else round_away(s, sum_round)
-            )
-            m = s / cnt
-            cols[f"{c}_mean"] = pa.array(
-                m if mean_round is None else round_away(m, mean_round)
-            )
-        return pa.table(cols)
-
-    return merged.map_batches(finalize, batch_format="pyarrow")
+    For a stage whose consumer is a shuffle barrier (groupby,
+    repartition, sort) and the small maps behind it.  Those cannot
+    start before the stage ends, yet the reservation holds CPUs for them
+    all along: on 4 CPUs it left a per-tile stage a budget of 1.25
+    CPUs, one task at a time (and a combine's partial stage ran 2.3–2.6×
+    slower at sf0.1).  Applied only where a barrier is owned: on the
+    input of :func:`county_zonal`, of the checkpointed sink
+    (``state/ckptwrite``) and of ``psnrverify.psnr_verify_pairs``.  The
+    setting lives in the context ``ds`` shares with the datasets it was
+    derived from and the ones derived from it; the process-global
+    ``DataContext`` is left untouched.
+    """
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 # ---------------------------------------------------------------------------
-# county_zonal: many per-county products from one exchange
+# county_zonal: many per-key products from one exchange
 # ---------------------------------------------------------------------------
 
 
@@ -214,10 +191,11 @@ class Top(NamedTuple):
 
 @dataclass(frozen=True)
 class Counties:
-    """The merged state ``finalize`` receives: ``fips`` and row count
-    ``n`` of each county, and ``self[name]`` for each product — an
-    array with one value per county for ``sum`` / ``min`` / ``max``, a
-    :class:`Hist` or a :class:`Top`."""
+    """The merged state ``finalize`` receives: ``fips``, the key value
+    (the county FIPS unless ``county_zonal``'s ``key`` names another
+    column), and row count ``n`` of each county, and ``self[name]`` for
+    each product — an array with one value per county for ``sum`` /
+    ``min`` / ``max``, a :class:`Hist` or a :class:`Top`."""
 
     fips: np.ndarray
     n: np.ndarray
@@ -231,12 +209,12 @@ _REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 _ARITY = {"sum": 1, "min": 1, "max": 1, "hist": 1, "top": 3}
 
 
-def _check(products: dict) -> dict:
+def _check(products: dict, key: str) -> dict:
     if not products:
         raise ValueError("county_zonal needs at least one product")
     for name, spec in products.items():
         kind, args = spec[0], spec[1:]
-        if name in ("county_fips", "n") or "." in name:
+        if name in (key, "n") or "." in name:
             raise ValueError(f"product name {name!r} is reserved")
         if _ARITY.get(kind) != len(args):
             raise ValueError(f"bad product {name!r}: {spec!r}")
@@ -255,17 +233,17 @@ def _flat(col) -> np.ndarray:
     return pc.list_flatten(col).to_numpy(zero_copy_only=False)
 
 
-def county_partial(b: pa.Table, products: dict) -> pa.Table:
-    """Combiner: one row per county in ``b`` holding ``county_fips``,
+def county_partial(b: pa.Table, products: dict, key: str = "county_fips") -> pa.Table:
+    """Combiner: one row per ``key`` value in ``b`` holding that value,
     the row count ``n`` and each product's partial state (list columns
     for ``hist`` and ``top``)."""
-    enc = b["county_fips"].combine_chunks().dictionary_encode()
+    enc = b[key].combine_chunks().dictionary_encode()
     ci = enc.indices.to_numpy().astype(np.int64)
     m = len(enc.dictionary)
     n = np.bincount(ci, minlength=m)
     order = np.argsort(ci, kind="stable")
     start = np.cumsum(n) - n
-    cols = {"county_fips": enc.dictionary, "n": pa.array(n, pa.int64())}
+    cols = {key: enc.dictionary, "n": pa.array(n, pa.int64())}
     for name, (kind, *args) in products.items():
         k, col, tie = args if kind == "top" else (None, args[0], None)
         typ = b.schema.field(col).type
@@ -290,7 +268,7 @@ def county_partial(b: pa.Table, products: dict) -> pa.Table:
     return pa.table(cols)
 
 
-def _merge(g: pa.Table, products: dict) -> Counties:
+def _merge(g: pa.Table, products: dict, key: str) -> Counties:
     """One county's partial rows → its :class:`Counties` state."""
     one = np.zeros(1, np.int64)
     state = {}
@@ -306,7 +284,7 @@ def _merge(g: pa.Table, products: dict) -> Counties:
             by, tie = _flat(g[name]), _flat(g[f"{name}.tie"])
             o = np.lexsort((tie, -by))[: args[0]]
             state[name] = Top(by[o], tie[o], one, np.asarray([len(o)]))
-    fips = np.asarray([g["county_fips"][0].as_py()], dtype=object)
+    fips = np.asarray([g[key][0].as_py()], dtype=object)
     return Counties(fips, np.asarray([pc.sum(g["n"]).as_py()], np.int64), state)
 
 
@@ -321,9 +299,10 @@ def _no_counties(products: dict) -> Counties:
     return Counties(e, z, state)
 
 
-def county_zonal(ds, products: dict, finalize):
-    """Per-county products of ``ds`` (which carries ``county_fips``)
-    from one combine and one exchange on ``county_fips``.
+def county_zonal(ds, products: dict, finalize, key: str = "county_fips"):
+    """Per-county products of ``ds`` from one combine and one exchange
+    on ``key`` (a string or integer column; a "county" below is one
+    value of it) over :func:`_coalesce`'d partials.
 
     ``products`` maps a name to ``("sum", col)``, ``("min", col)``,
     ``("max", col)``, ``("hist", col)`` or ``("top", k, by, tie)``.
@@ -336,23 +315,56 @@ def county_zonal(ds, products: dict, finalize):
     or exchange order: integer sums are exact, float sums add
     lattice-snapped values (``functions/rounding``), min / max and
     histograms are order-free, and ``top`` orders fully by
-    (``by`` desc, ``tie`` asc)."""
+    (``by`` desc, ``tie`` asc).  The exchange is a barrier the partial
+    stage feeds, so ``ds`` runs :func:`unreserved`."""
     import ray.data as rd
 
-    products = _check(products)
+    products = _check(products, key)
     schema = finalize(_no_counties(products)).schema
 
     def merge(g: pa.Table) -> pa.Table:
-        return finalize(_merge(g, products)).cast(schema)
+        return finalize(_merge(g, products, key)).cast(schema)
 
-    parts = ds.map_batches(
-        county_partial, fn_kwargs={"products": products}, batch_format="pyarrow"
+    parts = unreserved(ds).map_batches(
+        county_partial,
+        fn_kwargs={"products": products, "key": key},
+        batch_format="pyarrow",
     )
-    # the per-batch stage feeds the exchange barrier: with Ray Data's
-    # per-operator reservation on, it runs one task at a time on a few
-    # CPUs (2.3–2.6× slower at sf0.1; see ``pipelines/biomass._unreserved``)
-    parts.context.op_resource_reservation_enabled = False
-    out = parts.groupby("county_fips").map_groups(merge, batch_format="pyarrow")
+    out = _coalesce(parts).groupby(key).map_groups(merge, batch_format="pyarrow")
     # an empty input runs no group, so the result would have no schema;
     # the typed empty block gives it ``schema`` in every case
     return out.union(rd.from_arrow(schema.empty_table()))
+
+
+# ---------------------------------------------------------------------------
+# the headline's zonal summary
+# ---------------------------------------------------------------------------
+
+
+def _sums(sum_cols) -> dict:
+    return {f"{c}_sum": ("sum", c) for c in sum_cols}
+
+
+def zonal_partial(batch: pa.Table, sum_cols=_SUM_COLS) -> pa.Table:
+    """The headline's combiner: :func:`county_partial` of its sums."""
+    return county_partial(batch, _sums(sum_cols))
+
+
+def zonal_aggregate(ds, sum_cols=_SUM_COLS):
+    """The headline's per-county summary of ``ds`` (reference G7): a
+    Dataset of ``county_fips``, ``tile_count`` and each column's
+    ``{c}_sum`` and ``{c}_mean``, rounded half away from zero to 4
+    places.  The sums are of lattice-snapped values."""
+
+    def finalize(c: Counties) -> pa.Table:
+        cols = {
+            "county_fips": pa.array(c.fips, pa.string()),
+            "tile_count": pa.array(c.n, pa.int64()),
+        }
+        for col in sum_cols:
+            s = np.asarray(c[f"{col}_sum"], np.float64)
+            cols[f"{col}_sum"] = pa.array(round_away(s, 4))
+            cols[f"{col}_mean"] = pa.array(round_away(s / c.n, 4))
+        return pa.table(cols)
+
+    return county_zonal(ds, _sums(sum_cols), finalize)

@@ -39,6 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.zonal import unreserved
 from .checkpoint import CheckpointStore
 
 # Arrow type of a summary value, by its Python type
@@ -73,8 +74,10 @@ def checkpointed_partition_write(
     frame has zero rows but the summary's columns and types.  An input
     with no rows at all runs no group: its frame takes those columns
     and types from ``summarize`` of a zero-row table of ``ds``'s
-    schema, which must return typed zero sums.
+    schema, which must return typed zero sums.  The write groupby is a
+    barrier ``ds`` feeds, so ``ds`` runs ``stages.zonal.unreserved``.
     """
+    ds = unreserved(ds)
     store = CheckpointStore(out_dir, key_name=key)
     done = store.completed() if resume else set()
 

@@ -1,10 +1,13 @@
 """``stages/zonal.county_zonal`` and the registry entries built on it.
 
 - one call requesting every product kind equals one call per kind, on a
-  skewed input (one county holds 90 % of the rows) and on an empty one;
-- the per-county entries, and three entries that used to raise on tiny
-  universes, keep their columns and types at n=1 and n=7
-  (``universe_n`` reads only the sf dir's basename).
+  skewed input (one county holds 90 % of the rows) and on an empty one,
+  and keyed by a string (``fmt``) and an int64 (``cell``) column at 7,
+  1 and 0 rows;
+- the per-county entries, the other entries on ``county_zonal`` and
+  three entries that used to raise on tiny universes keep their
+  columns and types at n=1 and n=7 (``universe_n`` reads only the sf
+  dir's basename).
 """
 
 import os
@@ -35,15 +38,20 @@ def _skewed(n=4000, seed=3) -> pa.Table:
             "f": pa.array(rng.integers(0, 300, n) / 7.0),
             "s": pa.array(rng.choice(["png", "jpeg", "raw"], n), pa.string()),
             "id": pa.array(rng.permutation(n), pa.int64()),
+            "fmt": pa.array(rng.choice(["png", "jpeg", "raw"], n), pa.string()),
+            "cell": pa.array(rng.integers(-3, 3, n), pa.int64()),
         }
     )
 
 
-def _dump(products):
+KEY_TYPE = {"county_fips": pa.string(), "fmt": pa.string(), "cell": pa.int64()}
+
+
+def _dump(products, key="county_fips"):
     """finalize writing every product's merged state as text."""
 
     def finalize(c):
-        cols = {"county_fips": list(c.fips), "n": [int(v) for v in c.n]}
+        cols = {key: list(c.fips), "n": [int(v) for v in c.n]}
         for name, (kind, *_) in products.items():
             st = c[name]
             if kind in ("hist", "top"):
@@ -54,31 +62,46 @@ def _dump(products):
                 ]
             else:
                 cols[name] = [repr(v) for v in np.asarray(st).tolist()]
+        types = {key: KEY_TYPE[key], "n": pa.int64()}
         return pa.table(
-            {k: pa.array(v, pa.int64() if k == "n" else pa.string())
-             for k, v in cols.items()}
+            {k: pa.array(v, types.get(k, pa.string())) for k, v in cols.items()}
         )
 
     return finalize
 
 
-@pytest.mark.parametrize("rows", [4000, 0])
-def test_one_call_equals_single_kind_calls(ray_session, rows):
+@pytest.mark.parametrize(
+    "rows,key",
+    [
+        pytest.param(4000, "county_fips", id="4000"),
+        pytest.param(0, "county_fips", id="0"),
+        *(
+            pytest.param(rows, key, id=f"{key}-{rows}")
+            for key in ("fmt", "cell")
+            for rows in (7, 1, 0)
+        ),
+    ],
+)
+def test_one_call_equals_single_kind_calls(ray_session, rows, key):
     import ray.data as rd
 
     from biomass_processing_pipeline_ray.pipelines.queries import to_df
     from biomass_processing_pipeline_ray.stages.zonal import county_zonal
 
-    ds = rd.from_arrow(_skewed().slice(0, rows)).repartition(8)
-    every = county_zonal(ds, PRODUCTS, _dump(PRODUCTS))
-    assert every.schema().names == ["county_fips", "n", *PRODUCTS]
-    every = to_df(every).sort_values("county_fips").reset_index(drop=True)
-    assert len(every) == (4 if rows else 0)
+    tbl = _skewed().slice(0, rows)
+    ds = rd.from_arrow(tbl).repartition(8)
+    every = county_zonal(ds, PRODUCTS, _dump(PRODUCTS, key), key=key)
+    assert every.schema().names == [key, "n", *PRODUCTS]
+    assert every.schema().types[0] == KEY_TYPE[key]
+    every = to_df(every).sort_values(key).reset_index(drop=True)
+    assert sorted(every[key]) == sorted(set(tbl[key].to_pylist()))
+    assert every["n"].sum() == rows
     for name, spec in PRODUCTS.items():
-        one = county_zonal(ds, {name: spec}, _dump({name: spec}))
-        one = to_df(one).sort_values("county_fips").reset_index(drop=True)
-        assert one.equals(every[["county_fips", "n", name]]), name
-    if rows:
+        one = county_zonal(ds, {name: spec}, _dump({name: spec}, key), key=key)
+        one = to_df(one).sort_values(key).reset_index(drop=True)
+        assert one.equals(every[[key, "n", name]]), name
+    if rows and key == "county_fips":
+        assert len(every) == 4
         assert every["n"].max() > 0.85 * rows
 
 
@@ -102,6 +125,10 @@ EDGE_ENTRIES = [
     "caption_pair_jaccard",
     "bbox_search_indexed",
     "bbox_search_lifecycle",
+    "zonal_biomass",
+    "county_top10",
+    "tile_meta_stats",
+    "caption_cell_stats",
 ]
 
 

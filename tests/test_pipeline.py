@@ -94,19 +94,25 @@ def test_zonal_matches_pandas_groupby(ray_session, tiles_small):
         .sort_values("county_fips")
         .reset_index(drop=True)
     )
+    from biomass_processing_pipeline_ray.functions.rounding import (
+        round_away,
+        snap_binary,
+    )
+
+    # the combine sums lattice-snapped values, so the sums are exact in
+    # any order and the rounded outputs equal the reference bit-wise
     exp = _oracle_frame(1000)
+    exp = exp.assign(biomass=snap_binary(exp.biomass), ndvi=snap_binary(exp.ndvi))
     g = exp.groupby("county_fips").agg(
         tile_count=("biomass", "size"),
         biomass_sum=("biomass", "sum"),
-        ndvi_mean=("ndvi", "mean"),
+        ndvi_sum=("ndvi", "sum"),
     ).reset_index()
-    from biomass_processing_pipeline_ray.functions.rounding import round_away
-
     assert np.array_equal(got.county_fips.to_numpy(), g.county_fips.to_numpy())
     assert np.array_equal(got.tile_count.to_numpy(), g.tile_count.to_numpy())
     # zonal output rounds sums/means to 4 decimals (round-half-away)
-    assert np.allclose(got.biomass_sum, round_away(g.biomass_sum, 4), atol=1e-9)
-    assert np.allclose(got.ndvi_mean, round_away(g.ndvi_mean, 4), atol=1e-9)
+    assert np.array_equal(got.biomass_sum, round_away(g.biomass_sum, 4))
+    assert np.array_equal(got.ndvi_mean, round_away(g.ndvi_sum / g.tile_count, 4))
 
 
 def test_checkpoint_resume(ray_session, tiles_small, tmp_path):
@@ -241,7 +247,7 @@ def test_county_layer_far_from_every_tile(ray_session, tiles_small, tmp_path):
     """A county layer that no tile falls in: both checkpointed pipelines
     return a typed zero-row frame (the columns and dtypes of a normal
     run) and write no partition, a resume returns the same frame, and
-    the fast path agrees that no county has tiles."""
+    the fast path returns a zero-row Dataset typed like a normal run's."""
     import json
     import os
 
@@ -269,8 +275,13 @@ def test_county_layer_far_from_every_tile(ray_session, tiles_small, tmp_path):
         again = fn(tiles_small, out, counties=far, n_tiles=1000)
         assert again.equals(empty)
 
-    fast = biomass_zonal(tiles_small, counties=far, n_tiles=1000).to_pandas()
+    from biomass_processing_pipeline_ray.pipelines.queries import to_df
+
+    normal = to_df(biomass_zonal(tiles_small, n_tiles=1000))
+    fast = to_df(biomass_zonal(tiles_small, counties=far, n_tiles=1000))
     assert len(fast) == 0
+    assert list(fast.columns) == list(normal.columns)
+    assert fast.dtypes.equals(normal.dtypes)
 
 
 def test_zero_row_tiles_input(ray_session, tiles_small, tmp_path):
@@ -301,6 +312,42 @@ def test_zero_row_tiles_input(ray_session, tiles_small, tmp_path):
         assert list(empty.columns) == list(normal.columns)
         assert empty.dtypes.equals(normal.dtypes)
         assert CheckpointStore(out).completed() == set()
+
+
+def test_combines_decide_reservation_on_their_input(ray_session, tiles_small, tmp_path):
+    """The combine switches Ray Data's per-operator reservation off on
+    its own input: the Datasets from ``biomass_zonal`` and from a
+    ``county_zonal`` call run without it, and the process-global
+    ``DataContext`` is the same after them and after the checkpointed
+    job."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from biomass_processing_pipeline_ray.pipelines.biomass import (
+        biomass_zonal,
+        biomass_zonal_checkpointed,
+    )
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
+
+    ctx = DataContext.get_current()
+    before = dict(vars(ctx))
+
+    def finalize(c):
+        return pa.table({"county_fips": pa.array(c.fips, pa.string()),
+                         "x": pa.array(c["x"], pa.int64())})
+
+    tbl = pa.table({"county_fips": ["17001", "17003", "17001"], "x": [1, 2, 3]})
+    for ds in (
+        biomass_zonal(tiles_small, n_tiles=1000),
+        county_zonal(rd.from_arrow(tbl), {"x": ("sum", "x")}, finalize),
+    ):
+        assert ds.context.op_resource_reservation_enabled is False
+        assert ds.count() > 0
+        assert DataContext.get_current() is ctx and vars(ctx) == before
+    biomass_zonal_checkpointed(tiles_small, str(tmp_path / "out"), n_tiles=1000)
+    assert DataContext.get_current() is ctx and vars(ctx) == before
+    assert ctx.op_resource_reservation_enabled
 
 
 def test_resume_filter_shares_partition_ids(ray_session, tiles_small, tmp_path):
