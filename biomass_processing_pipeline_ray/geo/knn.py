@@ -8,18 +8,23 @@ nearest *other* tiles with a deterministic (distance², id) total order,
 feeding the inverse-distance-weighted stitch
 (``forest_analyzer_v3.py:194-243`` semantics: weight = 1/(d+0.01)).
 
-scipy's KD-tree is unavailable; this is a uniform-grid bucket index with
-ring expansion and a proven stopping bound (any point outside Chebyshev
-ring R of the query's bucket is at Euclidean distance ≥ R·cell), so
-results are EXACT — required for DuckDB-oracle equality.
+scipy's KD-tree is unavailable; this is a uniform-grid bucket index
+sized at ~``target_per_bucket`` points per square bucket of side
+``cell``, stored as CSR (points sorted by bucket + per-bucket offsets).
+Each query gathers the 3×3 buckets around its own: any point outside
+that block is at least ``cell`` from every point of the centre bucket,
+so a query whose k-th distance is below ``cell`` is answered exactly.
+The rest fall back to a ring walk with the same bound (anything outside
+Chebyshev ring R of the query's bucket is ≥ R·cell away), so results
+are EXACT — required for DuckDB-oracle equality.
 
-Queries are processed grouped by bucket (queries sharing a bucket share
-candidate sets), so the inner work is vectorized numpy.
+Each span is floored at a share of the longer one, so collinear or
+near-coincident layouts still get O(n) buckets and a bounded walk.
 
 Scale note (10^12 rows): one global GridKNN would not fit; the design
-point is per-super-cell sharding — partition tiles by a coarse hex cell,
-run GridKNN per shard with a halo of neighboring cells (the reference's
-radius cap plays the same role).  ``halo_from`` supports that layout.
+point is per-super-cell sharding — partition tiles by a coarse cell and
+run GridKNN per shard with a halo of neighboring cells
+(``stages/knn_sharded``; the reference's radius cap plays the same role).
 """
 
 from __future__ import annotations
@@ -28,55 +33,58 @@ import numpy as np
 
 # fast-path query block size — see GridKNN.query docstring
 _QUERY_BLOCK = 512
+_NO_ID = np.iinfo(np.int64).max  # id of a padding slot: sorts after every real id
+
+
+def _expand(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges [lo, lo+cnt), with no Python loop."""
+    ends = cnt.cumsum()
+    return np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - cnt - lo, cnt)
 
 
 class GridKNN:
-    def __init__(self, x: np.ndarray, y: np.ndarray, ids: np.ndarray, target_per_bucket: float = 12.0):
+    def __init__(self, x: np.ndarray, y: np.ndarray, ids: np.ndarray, target_per_bucket: float = 8.0):
         self.x = np.ascontiguousarray(x, dtype=np.float64)
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         self.ids = np.asarray(ids, dtype=np.int64)  # int ids → fast, lexsort-able
-        n = max(len(self.x), 1)
-        self.x0, self.y0 = (self.x.min(), self.y.min()) if n and len(self.x) else (0.0, 0.0)
-        span_x = (self.x.max() - self.x0) if len(self.x) else 1.0
-        span_y = (self.y.max() - self.y0) if len(self.y) else 1.0
-        area = max(span_x * span_y, 1e-12)
-        self.cell = max(np.sqrt(area * target_per_bucket / n), 1e-9)
+        n = len(self.x)
+        self.x0, self.y0 = (self.x.min(), self.y.min()) if n else (0.0, 0.0)
+        span_x = (self.x.max() - self.x0) if n else 0.0
+        span_y = (self.y.max() - self.y0) if n else 0.0
+        per = target_per_bucket / max(n, 1)
+        floor = max(span_x, span_y) * min(per, 1.0)
+        area = max(span_x, floor) * max(span_y, floor)
+        self.cell = max(np.sqrt(area * per), 1e-9)
         self.nx = int(span_x / self.cell) + 1
         self.ny = int(span_y / self.cell) + 1
         bx = np.clip(((self.x - self.x0) / self.cell).astype(np.int64), 0, self.nx - 1)
         by = np.clip(((self.y - self.y0) / self.cell).astype(np.int64), 0, self.ny - 1)
         bucket = bx * self.ny + by
-        order = np.argsort(bucket, kind="stable")
-        self.order = order
-        sorted_bucket = bucket[order]
-        # CSR over occupied buckets via searchsorted
-        self.sorted_bucket = sorted_bucket
-
-    def _bucket_slice(self, b: int) -> np.ndarray:
-        lo = np.searchsorted(self.sorted_bucket, b, side="left")
-        hi = np.searchsorted(self.sorted_bucket, b, side="right")
-        return self.order[lo:hi]
+        self.order = np.argsort(bucket, kind="stable")
+        # bucket b holds points order[start[b]:start[b + 1]]
+        self.start = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(bucket, minlength=self.nx * self.ny), out=self.start[1:])
 
     def _ring_members(self, cbx: int, cby: int, ring: int) -> np.ndarray:
-        """Point indices in buckets at Chebyshev distance == ring."""
-        cells = []
-        if ring == 0:
-            cells.append((cbx, cby))
-        else:
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) != ring:
-                        continue
-                    cells.append((cbx + dx, cby + dy))
-        out = []
-        for gx, gy in cells:
-            if 0 <= gx < self.nx and 0 <= gy < self.ny:
-                s = self._bucket_slice(gx * self.ny + gy)
-                if len(s):
-                    out.append(s)
-        if not out:
+        """Point indices in buckets at Chebyshev distance == ring, in
+        bucket order; visits only the ring's buckets inside the grid."""
+        ylo, yhi = max(cby - ring, 0), min(cby + ring, self.ny - 1)
+        # the ring's side columns are one bucket run each; its top and
+        # bottom rows add one bucket per inner column
+        inner = np.arange(max(cbx - ring + 1, 0), min(cbx + ring, self.nx))
+        first = [np.array([gx * self.ny + ylo])
+                 for gx in {cbx - ring, cbx + ring} if 0 <= gx < self.nx]
+        last = [f + yhi - ylo for f in first]
+        for gy in {cby - ring, cby + ring}:
+            if 0 <= gy < self.ny and len(inner):
+                first.append(inner * self.ny + gy)
+                last.append(first[-1])
+        if not first:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+        first, last = np.concatenate(first), np.concatenate(last)
+        o = np.argsort(first)
+        lo = self.start[first[o]]
+        return self.order[_expand(lo, self.start[last[o] + 1] - lo)]
 
     def query(self, qx: np.ndarray, qy: np.ndarray, qids: np.ndarray, k: int):
         """Exact kNN for each query point, excluding the query's own id.
@@ -85,16 +93,15 @@ class GridKNN:
         with -1; d2 [n,k] float64, padded with +inf).  Neighbors are in
         (d2, id) ascending order — the documented deterministic order.
 
-        Strategy: a fully VECTORIZED 5×5-bucket fast path answers every
-        query in one batch of numpy ops (gather the ring≤2 neighborhood
-        for all queries at once via CSR expansion, one segmented
-        (d2, id) sort); a query is accepted iff its k-th neighbor is
-        provably closer than anything outside the gathered rings
-        (kth < 2·cell — the same bound the ring walk uses), else it
-        falls back to the per-bucket ring walk.  With the index sized at
-        ~12 points/bucket the fast path answers ~100 % of queries, so
-        the per-query Python loop (~130 µs each, the old hot spot of the
-        kNN stitch stage) is gone from the hot path.
+        Strategy: a fully VECTORIZED 3×3-bucket fast path answers every
+        query in one batch of numpy ops: gather the 9 buckets around each
+        query's own (~9·``target_per_bucket`` candidates) by CSR
+        expansion, scatter (d², candidate) into dense padded matrices,
+        keep k+16 finalists per row with ``argpartition`` and (d², id)-
+        sort only those.  A query is accepted iff its k-th distance is
+        below ``cell`` (nothing outside the block is closer) and, when
+        the finalist cut dropped candidates, strictly below the cut (an
+        exact-tie group cannot span it); the rest take the ring walk.
 
         Queries run in blocks of ``_QUERY_BLOCK``: the fast path's
         temporaries (candidate arrays + the dense finalist matrices)
@@ -122,75 +129,52 @@ class GridKNN:
         out_d2 = np.full((n, k), np.inf, dtype=np.float64)
         if n == 0 or len(self.x) == 0:
             return out_idx, out_d2
-        R = 2
         qbx = np.clip(((qx - self.x0) / self.cell).astype(np.int64), 0, self.nx - 1)
         qby = np.clip(((qy - self.y0) / self.cell).astype(np.int64), 0, self.ny - 1)
-        offs = np.arange(-R, R + 1)
-        bx = (qbx[:, None] + offs[None, :])[:, :, None]  # (n, 5, 1)
-        by = (qby[:, None] + offs[None, :])[:, None, :]  # (n, 1, 5)
-        valid = (bx >= 0) & (bx < self.nx) & (by >= 0) & (by < self.ny)
-        bucket = np.where(valid, bx * self.ny + by, -1).reshape(n, (2 * R + 1) ** 2)
-        lo = np.searchsorted(self.sorted_bucket, bucket, side="left")
-        hi = np.searchsorted(self.sorted_bucket, bucket, side="right")
-        cnt = np.where(bucket >= 0, hi - lo, 0)
+        offs = np.arange(-1, 2)
+        bx = (qbx[:, None] + offs[None, :])[:, :, None]  # (n, 3, 1)
+        by = (qby[:, None] + offs[None, :])[:, None, :]  # (n, 1, 3)
+        valid = ((bx >= 0) & (bx < self.nx) & (by >= 0) & (by < self.ny)).reshape(n, 9)
+        bucket = np.where(valid, (bx * self.ny + by).reshape(n, 9), 0)
+        lo = self.start[bucket]
+        cnt = np.where(valid, self.start[bucket + 1] - lo, 0)
         counts_q = cnt.sum(axis=1)
-        flat_lo, flat_cnt = lo.ravel(), cnt.ravel()
-        total = int(flat_cnt.sum())
+        total = int(counts_q.sum())
         accepted = np.zeros(n, dtype=bool)
         if total:
-            # CSR expansion of the [lo, lo+cnt) ranges, no Python loop
-            ends = flat_cnt.cumsum()
-            pos = (
-                np.arange(total)
-                - np.repeat(ends - flat_cnt, flat_cnt)
-                + np.repeat(flat_lo, flat_cnt)
-            )
-            cand = self.order[pos]
+            cand = self.order[_expand(lo.ravel(), cnt.ravel())]
             qidx = np.repeat(np.arange(n), counts_q)
             dx = self.x[cand] - qx[qidx]
             dy = self.y[cand] - qy[qidx]
             d2 = dx * dx + dy * dy
             d2[self.ids[cand] == qids[qidx]] = np.inf  # exclude self by id
-            # scatter the query-major candidate runs into a dense padded
-            # (n, Cmax) matrix, then ROW-WISE argpartition keeps k+16
-            # finalists per query — avoids a 3-key lexsort over the full
-            # candidate set (the all-candidates sort was the former cost
-            # center); only the tiny finalist matrix is (d2, id)-sorted
+            # scatter the query-major candidate runs into dense padded
+            # (n, Cmax) matrices; ROW-WISE argpartition keeps k+16
+            # finalists per query and only those are (d2, id)-sorted
             cmax = int(counts_q.max())
-            seg_starts = counts_q.cumsum() - counts_q
-            col = np.arange(total) - np.repeat(seg_starts, counts_q)
+            col = np.arange(total) - np.repeat(counts_q.cumsum() - counts_q, counts_q)
             D = np.full((n, cmax), np.inf)
-            I = np.full((n, cmax), np.iinfo(np.int64).max, dtype=np.int64)
             C = np.full((n, cmax), -1, dtype=np.int64)
             D[qidx, col] = d2
-            I[qidx, col] = self.ids[cand]
             C[qidx, col] = cand
             m = min(k + 16, cmax)
             if m < cmax:
                 part = np.argpartition(D, m - 1, axis=1)[:, :m]
                 Dp = np.take_along_axis(D, part, axis=1)
-                Ip = np.take_along_axis(I, part, axis=1)
                 Cp = np.take_along_axis(C, part, axis=1)
             else:
-                Dp, Ip, Cp = D, I, C
+                Dp, Cp = D, C
+            Ip = np.where(Cp >= 0, self.ids[Cp], _NO_ID)
             rowsort = np.lexsort((Ip, Dp))  # per-row (d2, id) ascending
             kk = min(k, Dp.shape[1])
             sel = rowsort[:, :kk]
             out_d2[:, :kk] = np.take_along_axis(Dp, sel, axis=1)
             out_idx[:, :kk] = np.take_along_axis(Cp, sel, axis=1)
             out_idx[~np.isfinite(out_d2)] = -1
-            # acceptance: (a) ring bound — everything outside rings 0..2
-            # is ≥ 2·cell from any point of the center bucket (the
-            # walk's rule); (b) partition bound — when the finalist cut
-            # dropped candidates, the k-th kept distance must beat the
-            # cut boundary strictly, else an exact-tie group could span
-            # it (same guard as the brute-force kNN oracle)
             kth = out_d2[:, k - 1] if k <= kk else np.full(n, np.inf)
-            accepted = np.isfinite(kth) & (np.sqrt(kth) < 2 * self.cell)
+            accepted = np.isfinite(kth) & (np.sqrt(kth) < self.cell)
             if m < cmax:
-                cut = np.take_along_axis(
-                    Dp, rowsort[:, -1:], axis=1
-                ).ravel()
+                cut = np.take_along_axis(Dp, rowsort[:, -1:], axis=1).ravel()
                 accepted &= (kth < cut) | (counts_q <= m)
         if not accepted.all():
             fi = np.flatnonzero(~accepted)
@@ -198,7 +182,6 @@ class GridKNN:
             out_idx[fi] = fidx
             out_d2[fi] = fd2
         return out_idx, out_d2
-
     def _query_ring_walk(self, qx: np.ndarray, qy: np.ndarray, qids: np.ndarray, k: int):
         """Per-bucket expanding ring walk — the general-case path (and
         the fast path's fallback for sparse neighborhoods)."""
@@ -223,12 +206,14 @@ class GridKNN:
             cbx, cby = int(b // self.ny), int(b % self.ny)
             cand = np.empty(0, dtype=np.int64)
             gx_, gy_, gid_ = qx[grp], qy[grp], qids[grp]
-            done = False
             for ring in range(0, max_ring + 2):
                 members = self._ring_members(cbx, cby, ring)
                 if len(members):
                     cand = np.concatenate([cand, members])
-                if len(cand) == 0:
+                # nothing to decide before k candidates (or every point)
+                # are in: for k ≥ n that skips ~max(nx, ny) d² passes
+                whole = len(cand) == len(self.x)
+                if len(cand) < k and not whole:
                     continue
                 # worst query point in this bucket: distance bound uses
                 # ring r ⇒ everything farther is ≥ (ring)·cell away
@@ -240,13 +225,9 @@ class GridKNN:
                 # exclude self by id
                 self_mask = self.ids[cand][None, :] == gid_[:, None]
                 d2 = np.where(self_mask, np.inf, d2)
-                if d2.shape[1] >= k:
-                    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-                    if np.all(np.sqrt(kth) < bound) or ring >= max_ring + 1:
-                        done = True
-                elif ring >= max_ring + 1:
-                    done = True
-                if done:
+                if whole or np.all(
+                    np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1]) < bound
+                ):
                     kk = min(k, d2.shape[1])
                     # total order (d2, id): lexsort per row
                     for row, g in enumerate(grp):

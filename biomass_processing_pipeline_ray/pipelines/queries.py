@@ -47,6 +47,7 @@ from ..stages.zonal import Counties, Hist, county_zonal
 
 TILES_PER_SF = 6_000_000  # sf0.001 → 6k tiles, sf0.01 → 60k, sf0.1 → 600k
 KNN_N = 4_000             # kNN query universe (SQL oracle is an O(n²) join)
+KNN_SHARD_MIN_N = 2_000   # sharded kNN: smaller universes run as one cell
 TFIDF_BCAST_CAP = 2_000_000  # vocab sizes ≤ cap broadcast the df map
 ANN_NQ = 8                # number of ANN query vectors
 ANN_SAMPLE = 512          # IVF k-means training-sample size (hashed sample)
@@ -1723,30 +1724,31 @@ def q_knn_idw_sharded(sf_dir: str):
     cached one-time pass); ALSO hash-checked at capped n against the
     O(n²) SQL join by ``knn_idw_sharded_capped``, and verified equal to
     the broadcast stitcher in pytest."""
-    from ..stages.knn_sharded import knn_idw_sharded
-
-    n = universe_n(sf_dir)
-    ds = _range_geo(n)
-
-    def prep(b: pa.Table) -> pa.Table:
-        ids = b["tile_id"].to_numpy()
-        b = b.append_column("tile_int_id", pa.array(ids, pa.int64()))
-        return b.append_column("value", pa.array(G.derive_value(ids)))
-
-    return knn_idw_sharded(ds.map_batches(prep, batch_format="pyarrow"))
+    return _knn_idw_sharded_n(universe_n(sf_dir), 0.5)
 
 
 def q_knn_idw_sharded_capped(sf_dir: str):
     """The SAME cell-sharded kNN scale path on the capped universe, so
     the sharded implementation itself is hash-checked by the O(n²) SQL
     oracle (the full-n variant above stays rows-only — its oracle is
-    infeasible).  ``cell_deg=2.0`` keeps the halo-exactness contract
-    (kth-neighbor radius ≈ 0.12° ≪ cell size) at the sparser capped
-    density."""
+    infeasible).  ``cell_deg=2.0`` keeps the halo-exactness contract at
+    the sparser capped density."""
+    return _knn_idw_sharded_n(min(universe_n(sf_dir), KNN_N), 2.0)
+
+
+def _knn_idw_sharded_n(n: int, cell_deg: float):
+    """``knn_idw_sharded`` over the first n tiles of the universe.
+
+    The halo contract (every tile's 8th neighbor closer than
+    ``cell_deg``) fails on this universe up to n = 1098 at 0.5°, the
+    finer of the two cells used here; from 2000 to 8000 tiles, each n
+    checked, the largest 8th-neighbor distance is 0.42°, and at most
+    0.19° on a sample from 8000 to 60000.  Below ``KNN_SHARD_MIN_N`` one cell
+    covers the whole domain, so one group holds every tile."""
     from ..stages.knn_sharded import knn_idw_sharded
 
-    n = min(universe_n(sf_dir), KNN_N)
-    ds = _range_geo(n)
+    if n < KNN_SHARD_MIN_N:
+        cell_deg = max(G.LON_SPAN, G.LAT_SPAN)
 
     def prep(b: pa.Table) -> pa.Table:
         ids = b["tile_id"].to_numpy()
@@ -1754,7 +1756,7 @@ def q_knn_idw_sharded_capped(sf_dir: str):
         return b.append_column("value", pa.array(G.derive_value(ids)))
 
     return knn_idw_sharded(
-        ds.map_batches(prep, batch_format="pyarrow"), cell_deg=2.0
+        _range_geo(n).map_batches(prep, batch_format="pyarrow"), cell_deg=cell_deg
     )
 
 

@@ -13,11 +13,15 @@ cell (SURVEY.md §7.4 "actor state size"):
    :class:`~..geo.knn.GridKNN` over its candidates (home ∪ halo) and
    answers its own home queries.
 
-Exactness condition (checked empirically in tests against the
-broadcast stitcher): the true k-th neighbor distance must be smaller
-than ``cell_deg`` — the same radius-cap contract as the reference's
-``ST_DWithin(…, 0.1°) LIMIT 50`` join (``database_config_v3.py:104-114``).
-Pick ``cell_deg`` ≳ 10× the expected k-NN radius.
+Halo contract: a tile's answer is exact when its true k-th neighbor is
+closer than ``cell_deg``, because every tile outside the 3×3 cell block
+around its home cell is at least ``cell_deg`` away — the same
+radius-cap contract as the reference's ``ST_DWithin(…, 0.1°) LIMIT 50``
+join (``database_config_v3.py:104-114``).  Nothing checks it at run
+time; the caller sizes ``cell_deg`` so that it holds.  The registry
+queries (``q_knn_idw_sharded[_capped]``) derive it from the universe
+size: below a measured size one cell covers the whole domain, so one
+group holds every tile and the answer is exact for any k.
 """
 
 from __future__ import annotations
@@ -71,11 +75,11 @@ def _solve_cell(g: pd.DataFrame, k: int, round_idw: int | None) -> pd.DataFrame:
                 "knn_idw_value": pd.Series([], dtype=np.float64),
             }
         )
-    cand = g.drop_duplicates("tile_int_id")
+    # the fan-out sends a tile to 9 distinct cells: no tile twice here
     index = GridKNN(
-        cand["lon"].to_numpy(), cand["lat"].to_numpy(), cand["tile_int_id"].to_numpy()
+        g["lon"].to_numpy(), g["lat"].to_numpy(), g["tile_int_id"].to_numpy()
     )
-    values = cand["value"].to_numpy()
+    values = g["value"].to_numpy()
     idx, d2 = index.query(
         q["lon"].to_numpy(), q["lat"].to_numpy(), q["tile_int_id"].to_numpy(), k
     )

@@ -800,6 +800,33 @@ def test_knn_sharded_equals_broadcast(rd, ray_session):
     )
 
 
+@pytest.mark.parametrize(
+    "sf_dir, n",
+    [("sf0.0000002", 1), ("sf0.0000012", 7), ("sf0.00001", 60), ("sf0.0001", 600)],
+)
+def test_knn_sharded_entries_exact_on_small_universes(ray_session, sf_dir, n):
+    """Both sharded registry entries == the broadcast stitcher on sparse
+    universes, where a 0.5° or 2° cell breaks the halo contract."""
+    from biomass_processing_pipeline_ray.functions import georef as G
+    from biomass_processing_pipeline_ray.pipelines import queries as Q
+    from biomass_processing_pipeline_ray.stages.knn_stitch import (
+        KNNStitcher,
+        centroid_sidecar,
+    )
+
+    assert Q.universe_n(sf_dir) == n
+    ids = np.arange(n, dtype=np.int64)
+    lon, lat = G.derive_lonlat(ids)
+    stitch = KNNStitcher(centroids=centroid_sidecar(lon, lat, ids, G.derive_value(ids)))
+    ref = stitch(pa.table({"tile_int_id": ids, "lon": lon, "lat": lat}))
+    for query in (Q.q_knn_idw_sharded, Q.q_knn_idw_sharded_capped):
+        got = Q.to_df(query(sf_dir)).sort_values("tile_id")
+        assert np.array_equal(got.tile_id.to_numpy(), ids)
+        assert np.array_equal(
+            got.knn_idw_value.to_numpy(), ref["knn_idw_value"].to_numpy()
+        ), query.__name__
+
+
 def test_ivf_topk_exact_when_probing_all(rd, ray_session):
     import pyarrow as pa
     import ray
