@@ -21,10 +21,11 @@ are EXACT — required for DuckDB-oracle equality.
 Each span is floored at a share of the longer one, so collinear or
 near-coincident layouts still get O(n) buckets and a bounded walk.
 
-Scale note (10^12 rows): one global GridKNN would not fit; the design
-point is per-super-cell sharding — partition tiles by a coarse cell and
-run GridKNN per shard with a halo of neighboring cells
-(``stages/knn_sharded``; the reference's radius cap plays the same role).
+Scale note (10^12 rows): one global GridKNN would not fit.
+``stages/knn_sharded`` partitions the tiles into square blocks of
+lon/lat cells, each shard a few cells wide plus a one-cell halo, and
+runs one GridKNN per shard; it checks that every k-th neighbour is
+closer than a cell (the reference's radius cap plays the same role).
 """
 
 from __future__ import annotations
@@ -204,17 +205,17 @@ class GridKNN:
             grp = order[i:j]
             i = j
             cbx, cby = int(b // self.ny), int(b % self.ny)
-            cand = np.empty(0, dtype=np.int64)
+            rings, n_cand = [], 0
             gx_, gy_, gid_ = qx[grp], qy[grp], qids[grp]
             for ring in range(0, max_ring + 2):
-                members = self._ring_members(cbx, cby, ring)
-                if len(members):
-                    cand = np.concatenate([cand, members])
+                rings.append(self._ring_members(cbx, cby, ring))
+                n_cand += len(rings[-1])
                 # nothing to decide before k candidates (or every point)
                 # are in: for k ≥ n that skips ~max(nx, ny) d² passes
-                whole = len(cand) == len(self.x)
-                if len(cand) < k and not whole:
+                whole = n_cand == len(self.x)
+                if n_cand < k and not whole:
                     continue
+                cand = np.concatenate(rings)
                 # worst query point in this bucket: distance bound uses
                 # ring r ⇒ everything farther is ≥ (ring)·cell away
                 bound = ring * self.cell
@@ -229,12 +230,11 @@ class GridKNN:
                     np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1]) < bound
                 ):
                     kk = min(k, d2.shape[1])
-                    # total order (d2, id): lexsort per row
-                    for row, g in enumerate(grp):
-                        dr = d2[row]
-                        sel = np.lexsort((self.ids[cand], dr))[:kk]
-                        sel = sel[np.isfinite(dr[sel])]
-                        out_idx[g, : len(sel)] = cand[sel]
-                        out_d2[g, : len(sel)] = dr[sel]
+                    # total order (d2, id): one row-wise lexsort for the group
+                    ids2 = np.broadcast_to(self.ids[cand], d2.shape)
+                    sel = np.lexsort((ids2, d2), axis=1)[:, :kk]
+                    sd2 = np.take_along_axis(d2, sel, axis=1)
+                    out_idx[grp, :kk] = np.where(np.isfinite(sd2), cand[sel], -1)
+                    out_d2[grp, :kk] = sd2
                     break
         return out_idx, out_d2

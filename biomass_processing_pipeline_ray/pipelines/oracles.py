@@ -897,7 +897,7 @@ def knn_idw_oracle_path(n: int) -> str:
 def _knn_idw_chunk(lo: int, hi: int, n: int, k: int) -> pa.Table:
     """Brute-force kNN+IDW for query ids [lo, hi) against all n tiles.
 
-    Float parity with ``stages/knn_sharded._solve_cell``: identical
+    Float parity with ``stages/knn_sharded._solve_shard``: identical
     expressions in identical order — d2 = dx*dx + dy*dy, neighbor order
     (d2, id) ascending, w = 1/(sqrt(d2) + 0.01), idw = Σwv/Σw over the
     k neighbors, half-away rounding to 6 — so equality is bitwise."""

@@ -1717,7 +1717,7 @@ def _sql_curation_sweep(n: int) -> str:
 
 def q_knn_idw_sharded(sf_dir: str):
     """Cell-sharded kNN+IDW over the FULL tile universe — the 10¹²-row
-    scale path (local per-cell indexes + halo instead of a global
+    scale path (local per-block indexes + halo instead of a global
     broadcast index).  Hash-checked against the brute-force O(n²)
     chunked-numpy oracle (``oracles.ensure_knn_idw_oracle`` — the O(n²)
     SQL join form is infeasible at full n, the dense-matrix form is a
@@ -1744,7 +1744,8 @@ def _knn_idw_sharded_n(n: int, cell_deg: float):
     finer of the two cells used here; from 2000 to 8000 tiles, each n
     checked, the largest 8th-neighbor distance is 0.42°, and at most
     0.19° on a sample from 8000 to 60000.  Below ``KNN_SHARD_MIN_N`` one cell
-    covers the whole domain, so one group holds every tile."""
+    covers the whole domain, so one shard holds every tile and the
+    stage's run-time halo check passes it for any k."""
     from ..stages.knn_sharded import knn_idw_sharded
 
     if n < KNN_SHARD_MIN_N:

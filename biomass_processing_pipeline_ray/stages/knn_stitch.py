@@ -13,10 +13,10 @@ int id, lon, lat, value — no image payload), its
 :class:`KNNStitcher` is broadcast to every ``map_batches`` task through
 the object store (numpy arrays: zero-copy deserialization, no rebuild).
 
-Scale path (10^12 tiles): shard the index by coarse hex super-cell and
-run one stage per shard with halo cells — the per-task index then
-holds only a cell-local neighborhood, which is exactly the reference's
-radius-capped semantics (0.1°, LIMIT 50).
+Scale path (10^12 tiles): ``stages/knn_sharded`` shards the tiles by
+square lon/lat cell blocks with a one-cell halo — each task's index
+then holds only a block-local neighborhood, which is exactly the
+reference's radius-capped semantics (0.1°, LIMIT 50).
 """
 
 from __future__ import annotations

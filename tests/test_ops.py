@@ -827,6 +827,75 @@ def test_knn_sharded_entries_exact_on_small_universes(ray_session, sf_dir, n):
         ), query.__name__
 
 
+def _knn_universe(n):
+    from biomass_processing_pipeline_ray.functions import georef as G
+
+    ids = np.arange(n, dtype=np.int64)
+    lon, lat = G.derive_lonlat(ids)
+    val = G.derive_value(ids)
+    tbl = pa.table({"tile_int_id": ids, "lon": lon, "lat": lat, "value": val})
+    return tbl, (lon, lat, ids, val)
+
+
+def _knn_sharded_local(tbl, cell_deg, m):
+    """``knn_idw_sharded``'s fan-out and per-shard solve, in-process:
+    (frame sorted by tile_id, fan-out row count)."""
+    from biomass_processing_pipeline_ray.stages.knn_sharded import _fan_out, _solve_shard
+
+    fan = _fan_out(tbl, cell_deg, m)
+    parts = [
+        _solve_shard({c: g[c].to_numpy() for c in g}, 8, 6, cell_deg, m)
+        for _, g in fan.to_pandas().groupby("shard")
+    ]
+    got = pd.DataFrame(
+        {c: np.concatenate([p[c] for p in parts]) for c in ("tile_id", "knn_idw_value")}
+    )
+    return got.sort_values("tile_id").reset_index(drop=True), fan.num_rows
+
+
+@pytest.mark.parametrize("n", [3000, 30005])
+def test_knn_sharded_shard_invariance(n):
+    """The block side m moves only the fan-out, never the answer: every
+    m equals the broadcast stitcher bit for bit at 0.5°."""
+    from biomass_processing_pipeline_ray.functions import georef as G
+    from biomass_processing_pipeline_ray.stages.knn_sharded import _cell_grid, _shard_side
+    from biomass_processing_pipeline_ray.stages.knn_stitch import (
+        KNNStitcher,
+        centroid_sidecar,
+    )
+
+    tbl, (lon, lat, ids, val) = _knn_universe(n)
+    ref = KNNStitcher(centroids=centroid_sidecar(lon, lat, ids, val))(tbl)
+    ncx, ncy = _cell_grid(0.5)
+    derived = _shard_side(0.5, 2)
+    assert derived == 4
+    rows = {}
+    for m in (1, 2, derived, max(ncx, ncy)):
+        got, rows[m] = _knn_sharded_local(tbl, 0.5, m)
+        assert np.array_equal(got.tile_id.to_numpy(), ids), m
+        assert np.array_equal(
+            got.knn_idw_value.to_numpy(), ref["knn_idw_value"].to_numpy()
+        ), m
+    # one shard per cell: one row per neighbour cell inside the domain,
+    # i.e. 9 per tile less the halo cells past the domain's edge
+    cx = np.floor((lon - G.LON0) / 0.5).astype(np.int64)
+    cy = np.floor((lat - G.LAT0) / 0.5).astype(np.int64)
+    per_tile = (3 - (cx == 0) - (cx == ncx - 1)) * (3 - (cy == 0) - (cy == ncy - 1))
+    assert rows[1] == per_tile.sum() <= 9 * n
+    assert rows[derived] <= 3 * n
+    assert rows[max(ncx, ncy)] == n
+
+
+def test_knn_sharded_rejects_a_broken_halo(rd, ray_session):
+    """A cell smaller than the k-th neighbour distance raises instead of
+    returning a silently wrong kNN."""
+    tbl, _ = _knn_universe(60)
+    from biomass_processing_pipeline_ray.stages.knn_sharded import knn_idw_sharded
+
+    with pytest.raises(ValueError, match="cell_deg=0.5 breaks the halo contract"):
+        knn_idw_sharded(rd.from_arrow(tbl), cell_deg=0.5).to_pandas()
+
+
 def test_ivf_topk_exact_when_probing_all(rd, ray_session):
     import pyarrow as pa
     import ray
