@@ -11,9 +11,10 @@ capabilities of the reference ``andrewjoiner/biomass-processing-pipeline``
                  lossy quantized codec standing in for JPEG) + dHash phash.
 - ``sources/``   synthetic deterministic fixtures (tiles, counties) and
                  pruned parquet readers.
-- ``stages/``    Ray Data stages: decode, cell encode, PIP join (actor),
-                 kNN stitch (actor), zonal aggregation, dedup family,
-                 text analysis, ANN, event windows, relational helpers.
+- ``stages/``    Ray Data stages, run as plain tasks: decode, cell
+                 encode, PIP join, kNN stitch (broadcast and sharded),
+                 zonal aggregation, clip zonal, mosaic, image stages,
+                 dedup family, text analysis, ANN, relational helpers.
 - ``pipelines/`` end-to-end composed pipelines (flagship biomass zonal).
 - ``state/``     checkpoint manifest + per-partition lineage for resume.
 

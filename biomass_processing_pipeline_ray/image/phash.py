@@ -33,10 +33,6 @@ def dhash(pixels: np.ndarray) -> int:
     return int(val.astype(np.int64))
 
 
-def dhash_batch(pixel_list) -> np.ndarray:
-    return np.asarray([dhash(p) for p in pixel_list], dtype=np.int64)
-
-
 def dhash_stack(stack: np.ndarray) -> np.ndarray:
     """Batched dHash of a (B, h, w, 3) uint8 stack — bit-identical to
     :func:`dhash` per image.

@@ -2930,7 +2930,7 @@ def q_tfidf_top_terms(sf_dir: str):
     tf = docs.map_batches(term_tf_batch, batch_format="pyarrow").materialize()
     df = bucketed_agg(tf, ["term"], {"df": ("tf", "size")}, nb=256).materialize()
 
-    # BROADCAST fast path (auto-dispatched, the pagerank_auto pattern):
+    # BROADCAST fast path (auto-dispatched on the vocabulary's size):
     # the (term, df) vocabulary is already materialized for the join —
     # when it is bounded (≤ cap) ship it once via ray.put and fuse
     # scoring + per-document argmax into ONE whole-block map over the

@@ -512,12 +512,12 @@ def connected_components_star(
 
 
 # ---------------------------------------------------------------------------
-# broadcast fast path (round 4) — same pattern as graph.pagerank_broadcast:
-# the PAIR graph of a near-dup job is a tiny, bounded side product of the
-# corpus (edges ≈ planted dups, ~0.1% of rows), so below a cap it is
-# cheaper to pull the edge list once and label it vectorized on the
-# driver than to pay one bucket shuffle per propagation round.  The
-# co-partitioned rounds above remain the 10⁹-edge design.
+# broadcast fast path (round 4): the PAIR graph of a near-dup job is a
+# tiny, bounded side product of the corpus (edges ≈ planted dups, ~0.1%
+# of rows), so below a cap it is cheaper to pull the edge list once and
+# label it vectorized on the driver than to pay one bucket shuffle per
+# propagation round.  The co-partitioned rounds above remain the
+# 10⁹-edge design.
 # ---------------------------------------------------------------------------
 
 CC_BROADCAST_EDGE_CAP = 4_000_000

@@ -23,23 +23,6 @@ from ..sources.tiles import image_ids_to_int
 PIXEL_M = 10.0  # 10 m pixels, like Sentinel-2 bands in the reference
 
 
-def ndvi_biomass(px: np.ndarray) -> tuple[float, float]:
-    """NDVI-style band algebra → biomass scalar for one decoded tile.
-
-    Mirrors the reference's NDVI → biomass scaling chain
-    (``vegetation_analyzer_v3.py:139-141`` band math ×
-    ``forest_analyzer_v3.py:409-427`` per-area scaling): channel 0 acts
-    as RED, channel 2 as NIR.
-    """
-    red = px[:, :, 0].astype(np.float64)
-    nir = px[:, :, 2].astype(np.float64)
-    ndvi = float(np.mean((nir - red) / (nir + red + 1.0)))
-    h, w = px.shape[:2]
-    area_m2 = h * w * PIXEL_M * PIXEL_M
-    biomass = (ndvi + 1.0) * area_m2 * 0.01
-    return ndvi, biomass
-
-
 def decode_batch(
     batch: pa.Table,
     clip_ctx=None,
@@ -52,6 +35,11 @@ def decode_batch(
     per-image); the pixel math (dHash verify + NDVI band algebra) is
     vectorized over same-shape stacks — there are O(10) distinct
     (h, w) combos per batch, so each stack is large.
+
+    The band algebra mirrors the reference's NDVI → biomass scaling
+    chain (``vegetation_analyzer_v3.py:139-141`` band math ×
+    ``forest_analyzer_v3.py:409-427`` per-area scaling): channel 0 acts
+    as RED, channel 2 as NIR.
 
     ``clip_ctx`` (a ``stages.clipzonal.ClipContext``) additionally
     emits the polygon-clip columns ``n_px / n_in / val_sum / clip_ok``

@@ -4,8 +4,8 @@ Join strategy per the Ray guide: the small side (dimension table) is
 ``ray.put`` ONCE and merged per batch inside ``map_batches`` — no
 shuffle of the big side.  The reference's key join J3
 (``plt_cn = ANY(...)``, ``database_config_v3.py:117-128``) maps to
-exactly this shape.  Big–big joins co-partition via groupby (see
-``windows.asof_join_orders_events`` for the pattern).
+exactly this shape.  Big–big joins co-partition via a groupby on the
+join key.
 """
 
 from __future__ import annotations

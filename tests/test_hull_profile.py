@@ -1,10 +1,9 @@
-"""Tests for the round-4 late operators: distributed convex hull,
-grouped MAD, per-key z-score outliers, and the table profiler —
-each against an independent in-test numpy/pandas oracle."""
+"""Tests for the distributed convex hull and the grouped MAD finalize
+over ``county_zonal`` — each against an independent in-test
+numpy/pandas oracle."""
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pytest
 
 
@@ -138,105 +137,3 @@ def test_grouped_mad_vs_numpy(rd, ray_session):
         assert r["n"] == len(x)
         assert r["med"] == med
         assert r["mad"] == dev[(len(dev) - 1) // 2]
-
-
-def test_zscore_outliers_vs_pandas(rd, ray_session):
-    from biomass_processing_pipeline_ray.stages.analytic import (
-        grouped_zscore_outliers,
-    )
-
-    rng = np.random.default_rng(9)
-    n = 4000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype=np.int64),
-            "user_id": rng.integers(0, 50, n).astype(np.int64),
-            "vq": rng.integers(0, 500, n).astype(np.int64),
-        }
-    )
-    # plant extreme spikes for a few users
-    df.loc[df.index[:20], "vq"] = 50_000
-    df["coarse"] = df["user_id"] % 8
-    got = (
-        grouped_zscore_outliers(rd.from_pandas(df).repartition(5))
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-
-    g = df.groupby("user_id")["vq"]
-    stats = pd.DataFrame(
-        {"n": g.size(), "sx": g.sum(), "sxx": g.apply(lambda s: (s**2).sum())}
-    )
-    j = df.join(stats, on="user_id")
-    lhs = (j["n"] * j["vq"] - j["sx"]) ** 2
-    rhs = 9 * (j["n"] * j["sxx"] - j["sx"] ** 2)
-    exp = j[(j["n"] >= 8) & (lhs > rhs)].sort_values("event_id")
-    assert got["event_id"].tolist() == exp["event_id"].tolist()
-    assert (got["n_user"].to_numpy() == exp["n"].to_numpy()).all()
-    assert len(got) >= 20  # the planted spikes are caught
-
-
-def test_profile_table_vs_pandas(rd, ray_session):
-    from biomass_processing_pipeline_ray.stages.profile import profile_table
-
-    rng = np.random.default_rng(2)
-    n = 2500
-    num = rng.integers(0, 200, n).astype(np.float64)
-    num[rng.random(n) < 0.1] = np.nan
-    cat = np.array(["aa", "bb", "cc", "dd"])[rng.integers(0, 4, n)].astype(
-        object
-    )
-    cat[rng.random(n) < 0.05] = None
-    df = pd.DataFrame({"x": num, "s": cat})
-    got = (
-        profile_table(rd.from_pandas(df).repartition(6), ["x"], ["s"])
-        .to_pandas()
-        .set_index("col_name")
-    )
-    assert got.loc["x", "n_rows"] == n
-    assert got.loc["x", "n_null"] == int(np.isnan(num).sum())
-    assert got.loc["x", "n_distinct"] == len(np.unique(num[~np.isnan(num)]))
-    assert got.loc["x", "min_num"] == np.nanmin(num)
-    assert got.loc["x", "max_num"] == np.nanmax(num)
-    assert got.loc["s", "n_null"] == int(pd.isna(cat).sum())
-    assert got.loc["s", "n_distinct"] == 4
-    assert got.loc["s", "min_str"] == "aa"
-    assert got.loc["s", "max_str"] == "dd"
-
-
-def test_hourly_gapfill_vs_pandas(rd, ray_session):
-    from biomass_processing_pipeline_ray.stages.analytic import hourly_gapfill
-
-    rng = np.random.default_rng(13)
-    n = 3000
-    base = np.datetime64("2024-03-01", "us")
-    df = pd.DataFrame(
-        {
-            "user_id": rng.integers(0, 40, n).astype(np.int64),
-            "ts": base
-            + rng.integers(0, 200 * 3600, n).astype(np.int64) * 1_000_000,
-        }
-    )
-    got = (
-        hourly_gapfill(rd.from_pandas(df).repartition(5))
-        .to_pandas()
-        .sort_values(["user_id", "h"])
-        .reset_index(drop=True)
-    )
-
-    hour = df["ts"].astype("int64") // 3_600_000_000
-    ref_rows = []
-    for u, g in df.assign(h=hour).groupby("user_id"):
-        counts = g.groupby("h").size()
-        cum = 0
-        for h in range(int(g["h"].min()), int(g["h"].max()) + 1):
-            c = int(counts.get(h, 0))
-            cum += c
-            ref_rows.append((u, h, c, cum))
-    ref = pd.DataFrame(
-        ref_rows, columns=["user_id", "h", "n_events", "cum_events"]
-    )
-    pd.testing.assert_frame_equal(got, ref, check_dtype=False)
-    assert len(got) > n  # genuine expansion: gaps materialized
-    assert (got["n_events"] == 0).any()

@@ -1,8 +1,7 @@
 """Distributed operator tests vs brute-force/pandas oracles.
 
 Covers the operator families added on top of the flagship pipeline:
-banded Hamming near-dup, windows (tumbling/sessionize/as-of), ANN
-cosine top-k, and text fingerprints.  Small inputs, one shared Ray
+banded Hamming near-dup, ANN cosine top-k, and text fingerprints.  Small inputs, one shared Ray
 session (conftest).
 """
 
@@ -19,53 +18,6 @@ def rd(ray_session):
     import ray.data
 
     return ray.data
-
-
-def test_range_join_vs_pandas_bruteforce(rd):
-    """Cumulative-difference range join == per-order boolean-mask oracle."""
-    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
-    from biomass_processing_pipeline_ray.stages.windows import (
-        US_PER_DAY,
-        range_join_orders_events,
-    )
-
-    rng = np.random.default_rng(5)
-    n_o, n_e = 200, 1000
-    base = np.datetime64("2024-01-01", "us")
-    orders = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(n_o, dtype=np.int64),
-            "o_custkey": rng.integers(0, 30, n_o),
-            "o_orderdate": base + rng.integers(0, 90 * US_PER_DAY, n_o),
-        }
-    )
-    events = pd.DataFrame(
-        {
-            "event_id": np.arange(n_e, dtype=np.int64),
-            "user_id": rng.integers(0, 30, n_e),
-            "ts": base + rng.integers(0, 90 * US_PER_DAY, n_e),
-            "value": rng.uniform(0, 100, n_e),
-        }
-    )
-    got = (
-        range_join_orders_events(rd.from_pandas(orders), rd.from_pandas(events))
-        .to_pandas()
-        .sort_values("o_orderkey")
-        .reset_index(drop=True)
-    )
-    ev_ts = events["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    sn = snap_binary(events["value"].to_numpy())
-    for i in (0, 17, 55, 199):
-        o = orders.iloc[i]
-        t0 = np.int64(o.o_orderdate.to_datetime64().astype("datetime64[us]").astype(np.int64))
-        m = (
-            (events["user_id"].to_numpy() == o.o_custkey)
-            & (ev_ts >= t0)
-            & (ev_ts < t0 + 7 * US_PER_DAY)
-        )
-        row = got[got.o_orderkey == o.o_orderkey].iloc[0]
-        assert int(row.n_events) == int(m.sum())
-        assert row.value_sum == pytest.approx(sn[m].sum(), abs=1e-9)
 
 
 def test_minhash_copartitioned_verify_vs_bruteforce(rd):
@@ -596,108 +548,6 @@ def test_banded_hamming_pairs_exact(rd):
     }
     assert set(zip(got.a, got.b)) == exp
     assert len(got) == len(exp)  # globally deduped
-
-
-def _events_frame(n=400, users=20, seed=3):
-    rng = np.random.default_rng(seed)
-    ts = np.sort(rng.integers(0, 10**7, n)) * 1_000_000 + 1_700_000_000_000_000
-    return pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype=np.int64),
-            "ts": ts.astype("datetime64[us]"),
-            "user_id": rng.integers(0, users, n).astype(np.int64),
-            "event_type": rng.choice(["a", "b", "c"], n),
-            "value": rng.uniform(0, 100, n),
-        }
-    )
-
-
-def test_tumbling_aggregate_vs_pandas(rd):
-    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
-    from biomass_processing_pipeline_ray.stages.windows import tumbling_aggregate
-
-    df = _events_frame()
-    got = (
-        tumbling_aggregate(rd.from_pandas(df))
-        .to_pandas()
-        .sort_values(["event_type", "hour_bucket"])
-        .reset_index(drop=True)
-    )
-    exp = df.assign(
-        hour_bucket=df.ts.astype("datetime64[us]").astype(np.int64) // 3_600_000_000,
-        sval=snap_binary(df.value.to_numpy()),
-    )
-    exp = (
-        exp.groupby(["event_type", "hour_bucket"], as_index=False)
-        .agg(n=("sval", "size"), value_sum=("sval", "sum"))
-        .sort_values(["event_type", "hour_bucket"])
-        .reset_index(drop=True)
-    )
-    assert np.array_equal(got.n, exp.n)
-    assert np.array_equal(got.value_sum, exp.value_sum)  # exact (lattice)
-
-
-def test_sessionize_vs_pandas(rd):
-    from biomass_processing_pipeline_ray.stages.windows import sessionize
-
-    df = _events_frame()
-    got = (
-        sessionize(rd.from_pandas(df[["event_id", "ts", "user_id"]]))
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-
-    def oracle(g):
-        ts = np.sort(g.ts.astype("datetime64[us]").astype(np.int64).to_numpy())
-        gaps = np.diff(ts) > 1_800_000_000
-        return pd.Series({"n_sessions": 1 + int(gaps.sum()), "n_events": len(g)})
-
-    exp = df.groupby("user_id").apply(oracle, include_groups=False).reset_index()
-    assert np.array_equal(got.n_sessions, exp.n_sessions)
-    assert np.array_equal(got.n_events, exp.n_events)
-
-
-def test_asof_join_events_orders_vs_merge_asof(rd):
-    from biomass_processing_pipeline_ray.stages.windows import asof_join_events_orders
-
-    ev = _events_frame(n=200, users=10)
-    rng = np.random.default_rng(5)
-    orders = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(50, dtype=np.int64),
-            "o_custkey": rng.integers(0, 12, 50).astype(np.int64),
-            "o_orderdate": (
-                rng.integers(0, 10**7, 50) * 1_000_000 + 1_700_000_000_000_000
-            ).astype("datetime64[us]"),
-            "o_totalprice": rng.uniform(10, 500, 50),
-        }
-    )
-    got = (
-        asof_join_events_orders(
-            rd.from_pandas(ev[["event_id", "ts", "user_id"]]),
-            rd.from_pandas(orders),
-        )
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    # oracle: for each event the latest order (ts, orderkey) at/before it
-    o = orders.sort_values(["o_orderdate", "o_orderkey"])
-    exp_key, exp_val = [], []
-    for _, e in ev.iterrows():
-        cand = o[(o.o_custkey == e.user_id) & (o.o_orderdate <= e.ts)]
-        if len(cand):
-            exp_key.append(int(cand.o_orderkey.iloc[-1]))
-            exp_val.append(float(cand.o_totalprice.iloc[-1]))
-        else:
-            exp_key.append(-1)
-            exp_val.append(np.nan)
-    assert np.array_equal(got.last_orderkey.to_numpy(), np.array(exp_key))
-    ok = np.array(exp_key) >= 0
-    assert np.allclose(
-        got.last_totalprice.to_numpy()[ok], np.array(exp_val)[ok], atol=0
-    )
 
 
 def test_cosine_topk_vs_bruteforce(rd, ray_session):
@@ -1451,43 +1301,6 @@ def test_bloom_semi_join_equals_exact(rd, ray_session):
     assert len(pre) == len(small_keys)
 
 
-def test_pagerank_matches_sequential(rd, ray_session):
-    """Distributed power iteration == sequential numpy on a small graph
-    with constant out-degree, including isolated-sink teleport decay."""
-    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
-    from biomass_processing_pipeline_ray.stages.graph import pagerank
-
-    rng = np.random.default_rng(9)
-    n, k = 60, 4
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    # neighbors biased to low ids so some high ids get no in-edges
-    dst = (rng.integers(0, 30, size=n * k) ** 2 % n).astype(np.int64)
-    same = src == dst
-    dst[same] = (dst[same] + 1) % n
-
-    edges = rd.from_arrow(
-        pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    ).repartition(5)
-    nodes = rd.from_arrow(
-        pa.table({"node": pa.array(np.arange(n, dtype=np.int64))})
-    ).repartition(3)
-    got = (
-        pagerank(edges, nodes, iters=3, out_deg=k, nb=7)
-        .to_pandas()
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-
-    r = np.ones(n)
-    for _ in range(3):
-        c = snap_binary(r[src] / float(k))
-        s = np.zeros(n)
-        np.add.at(s, dst, c)
-        r = snap_binary(0.15 + 0.85 * s)
-    assert np.array_equal(got["rank"].to_numpy(), r)
-    assert (got["node"].to_numpy() == np.arange(n)).all()
-
-
 def test_tfidf_term_explode():
     from biomass_processing_pipeline_ray.stages.textstages import term_tf_batch
 
@@ -1621,68 +1434,6 @@ def test_pq_topk_partition_invariant_and_sane(rd, ray_session):
     assert ex_same >= 72
 
 
-def test_incremental_merge_equals_oneshot(rd, ray_session, tmp_path):
-    """Persisted base state + delta partials == one-shot aggregate over
-    the whole input, bit-for-bit; a rerun reuses the _SUCCESS state."""
-    import pyarrow as pa
-
-    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
-    from biomass_processing_pipeline_ray.stages.incremental import (
-        merge_with_state,
-        write_state,
-    )
-    from biomass_processing_pipeline_ray.stages.zonal import combine_partials
-    from ray.data.aggregate import Sum
-
-    rng = np.random.default_rng(53)
-    n = 4000
-    key = rng.integers(0, 7, n).astype(np.int64)
-    val = snap_binary(rng.uniform(0, 100, n))
-    is_delta = np.arange(n) % 10 == 0
-
-    def partials(mask):
-        t = pa.table({"k": pa.array(key[mask]), "v": pa.array(val[mask])})
-
-        def prep(df):
-            g = df.groupby("k", as_index=False).agg(
-                s=("v", "sum"), n_rows=("v", "size")
-            )
-            g["n_rows"] = g["n_rows"].astype(np.int64)
-            return g
-
-        return rd.from_arrow(t).map_batches(prep, batch_format="pandas")
-
-    aggs = [Sum("s", alias_name="s"), Sum("n_rows", alias_name="n_rows")]
-    base_agg = combine_partials(partials(~is_delta), ["k"], aggs)
-    state_dir = str(tmp_path / "state")
-    write_state(base_agg, state_dir)
-
-    merged = (
-        merge_with_state(state_dir, partials(is_delta), ["k"], ["s", "n_rows"])
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    oneshot = (
-        combine_partials(partials(np.ones(n, bool)), ["k"], aggs)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    assert (merged["s"].to_numpy() == oneshot["s"].to_numpy()).all()
-    assert (merged["n_rows"].to_numpy() == oneshot["n_rows"].to_numpy()).all()
-
-    # rerun hits the _SUCCESS state (no rebuild) and stays identical
-    write_state(base_agg, state_dir)
-    merged2 = (
-        merge_with_state(state_dir, partials(is_delta), ["k"], ["s", "n_rows"])
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    assert merged2.equals(merged)
-
-
 def test_grouped_topk_vs_pandas(rd, ray_session):
     """Per-group top-k == pandas row_number oracle, with string group
     keys split across many blocks (per-batch top-k + the county
@@ -1726,41 +1477,6 @@ def test_grouped_topk_vs_pandas(rd, ray_session):
     assert (got["id"].to_numpy() == exp["id"].to_numpy()).all()
     assert (got["v"].to_numpy() == exp["v"].to_numpy()).all()
     assert (got["rn"].to_numpy() == exp["rn"].to_numpy()).all()
-
-
-def test_pagerank_broadcast_equals_copartitioned(rd, ray_session):
-    """The broadcast-rank fast path and the co-partitioned exchange
-    path must be bit-identical (same snapped sums, different dataflow)."""
-    from biomass_processing_pipeline_ray.stages.graph import (
-        pagerank,
-        pagerank_broadcast,
-    )
-
-    rng = np.random.default_rng(13)
-    n, k = 500, 4
-    dst = np.array([
-        rng.choice(np.setdiff1d(np.arange(n), [s]), size=k, replace=False)
-        for s in range(n)
-    ])
-    edges = pd.DataFrame(
-        {
-            "src": np.repeat(np.arange(n, dtype=np.int64), k),
-            "dst": dst.ravel().astype(np.int64),
-        }
-    )
-    nodes = pd.DataFrame({"node": np.arange(n, dtype=np.int64)})
-    a = (
-        pagerank(rd.from_pandas(edges), rd.from_pandas(nodes), iters=3,
-                 out_deg=k)
-        .to_pandas()
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-    b = pagerank_broadcast(
-        rd.from_pandas(edges), nodes["node"].to_numpy(), iters=3, out_deg=k
-    ).sort_values("node").reset_index(drop=True)
-    assert (a["node"].to_numpy() == b["node"].to_numpy()).all()
-    assert (a["rank"].to_numpy() == b["rank"].to_numpy()).all()  # bitwise
 
 
 def test_cooccur_pairs_vs_bruteforce(rd, ray_session):
@@ -1966,44 +1682,6 @@ def test_store_append_creates_new_partitions(rd, ray_session, tmp_path):
     assert set(old.tile_id) >= set(range(n))
 
 
-def test_ttl_throttle_matches_sequential_state(rd, ray_session):
-    """The bucketed searchsorted-jump walk must equal a literal
-    sequential keyed-ValueState scan on random keyed streams,
-    including ties and exactly-TTL gaps (>= keeps)."""
-    from biomass_processing_pipeline_ray.stages.analytic import ttl_throttle
-
-    rng = np.random.default_rng(11)
-    n = 4000
-    ttl = 50
-    uid = rng.integers(0, 37, n)
-    typ = rng.choice(["a", "b", "c"], n)
-    # coarse ts grid with many ties and exact-TTL collisions
-    ts_us = rng.integers(0, 600, n) * (ttl // 2)
-    tbl = pa.table(
-        {
-            "event_id": pa.array(np.arange(n, dtype=np.int64)),
-            "ts": pa.array(ts_us, pa.int64()).cast(pa.timestamp("us")),
-            "user_id": pa.array(uid, pa.int64()),
-            "event_type": pa.array(typ, pa.string()),
-        }
-    )
-    got = (
-        ttl_throttle(rd.from_arrow(tbl), ttl_us=ttl)
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    # sequential reference: dict of last-kept per key
-    order = sorted(zip(uid.tolist(), typ.tolist(), ts_us.tolist(), range(n)))
-    last, kept = {}, []
-    for u, t, s, e in order:
-        prev = last.get((u, t))
-        if prev is None or s >= prev + ttl:
-            last[(u, t)] = s
-            kept.append(e)
-    assert got.event_id.tolist() == sorted(kept)
-
-
 def test_cc_broadcast_matches_distributed(rd, ray_session):
     """connected_components_broadcast must be bit-identical to the
     co-partitioned min-label rounds on random sparse pair graphs,
@@ -2035,157 +1713,6 @@ def test_cc_broadcast_matches_distributed(rd, ray_session):
     assert dist.equals(auto)
     # sanity: the chain is one component labeled by its min node
     assert (bc[bc.node.isin(chain)].lbl == 5000).all()
-
-
-def test_shard_packing_matches_sequential(rd, ray_session):
-    """Distributed prefix-sum shard assignment must equal a literal
-    sequential walk (concatenate docs in id order, cut every BUDGET
-    tokens), including shards spanning many id-range buckets and
-    zero-token documents."""
-    from biomass_processing_pipeline_ray.stages.sampling import shard_packing
-
-    rng = np.random.default_rng(7)
-    n, budget = 3000, 97
-    # sparse, shuffled-on-disk ids; some empty texts
-    ids = np.sort(rng.choice(np.arange(0, 20000), n, replace=False))
-    ntok = rng.integers(0, 40, n)
-    texts = [" ".join(["w"] * k) for k in ntok]
-    perm = rng.permutation(n)
-    tbl = pa.table(
-        {
-            "doc_id": pa.array(ids[perm], pa.int64()),
-            "text": pa.array([texts[i] for i in perm], pa.string()),
-        }
-    )
-    got = (
-        shard_packing(rd.from_arrow(tbl), budget=budget)
-        .to_pandas()
-        .sort_values("shard_id")
-        .reset_index(drop=True)
-    )
-    # sequential reference
-    import collections
-
-    acc = 0
-    ref = collections.defaultdict(lambda: [0, 0, np.iinfo(np.int64).max, -1])
-    for i, k in zip(ids, ntok):
-        s = acc // budget
-        r = ref[s]
-        r[0] += 1
-        r[1] += int(k)
-        r[2] = min(r[2], int(i))
-        r[3] = max(r[3], int(i))
-        acc += int(k)
-    exp = pd.DataFrame(
-        [
-            {"shard_id": s, "n_docs": v[0], "tokens": v[1],
-             "min_doc": v[2], "max_doc": v[3]}
-            for s, v in sorted(ref.items())
-        ]
-    )
-    assert got[["shard_id", "n_docs", "tokens", "min_doc", "max_doc"]].astype(
-        np.int64
-    ).values.tolist() == exp.values.tolist()
-
-
-def test_stratified_quota_sample_exact_quota(rd, ray_session):
-    """The histogram-threshold selection must pick EXACTLY the
-    max(1, floor(n_s * f)) smallest (skey, id) rows per stratum —
-    equal to a literal per-stratum sort — including single-row strata
-    and strata whose boundary bin holds multiple rows."""
-    from biomass_processing_pipeline_ray.stages.sampling import (
-        skey_u32,
-        stratified_sample,
-    )
-
-    rng = np.random.default_rng(13)
-    sizes = {"big": 1700, "mid": 230, "tiny": 4, "one": 1}
-    rows_s, rows_i = [], []
-    next_id = 0
-    for s, k in sizes.items():
-        ids = rng.choice(np.arange(next_id, next_id + 10 * k), k, replace=False)
-        next_id += 10 * k
-        rows_s += [s] * k
-        rows_i += ids.tolist()
-    perm = rng.permutation(len(rows_s))
-    tbl = pa.table(
-        {
-            "doc_id": pa.array(np.asarray(rows_i, np.int64)[perm]),
-            "source": pa.array(np.asarray(rows_s, object)[perm].astype(str)),
-        }
-    )
-    got = (
-        stratified_sample(rd.from_arrow(tbl), frac_pct=20)
-        .to_pandas()
-        .sort_values(["source", "doc_id"])
-        .reset_index(drop=True)
-    )
-    df = tbl.to_pandas()
-    df["skey"] = skey_u32(df["doc_id"].to_numpy()).astype(np.int64)
-    expect = []
-    for s, g in df.groupby("source"):
-        keep = max(1, len(g) * 20 // 100)
-        expect.append(g.sort_values(["skey", "doc_id"]).head(keep))
-    exp = (
-        pd.concat(expect)[["source", "doc_id", "skey"]]
-        .sort_values(["source", "doc_id"])
-        .reset_index(drop=True)
-    )
-    assert got.groupby("source").size().to_dict() == {
-        "big": 340, "mid": 46, "tiny": 1, "one": 1
-    }
-    assert got[["source", "doc_id", "skey"]].equals(exp)
-
-
-def test_temperature_mix_quotas_and_selection(rd, ray_session):
-    """count^α (α=0.5) mixing: quotas are B·isqrt(n_s)//W clamped to
-    [1, n_s], so small strata gain share vs proportional and huge
-    strata lose it; selection equals a literal per-stratum sort under
-    those quotas."""
-    import math
-
-    from biomass_processing_pipeline_ray.stages.sampling import (
-        skey_u32,
-        stratified_sample,
-        temperature_quotas,
-    )
-
-    sizes = {"big": 6400, "mid": 400, "tiny": 4, "one": 1}
-    rows_s = [s for s, k in sizes.items() for _ in range(k)]
-    rows_i = np.arange(len(rows_s), dtype=np.int64)
-    tbl = pa.table(
-        {"doc_id": pa.array(rows_i), "lang": pa.array(rows_s, pa.string())}
-    )
-    quotas = temperature_quotas(sizes, 20)
-    n, w = sum(sizes.values()), {s: math.isqrt(k) for s, k in sizes.items()}
-    b, wsum = n * 20 // 100, sum(w.values())
-    assert quotas == {s: b * w[s] // wsum for s in sizes}
-    # α=0.5 rebalancing: big's share drops below proportional (20 % of
-    # 6400 = 1280), small strata rise above it (20 % of 4 < 1 → 1+)
-    assert quotas["big"] < 1280 and quotas["mid"] > 80
-    got = (
-        stratified_sample(
-            rd.from_arrow(tbl),
-            stratum="lang",
-            frac_pct=20,
-            quota_fn=lambda c: temperature_quotas(c, 20),
-        )
-        .to_pandas()
-        .sort_values(["lang", "doc_id"])
-        .reset_index(drop=True)
-    )
-    df = tbl.to_pandas()
-    df["skey"] = skey_u32(df["doc_id"].to_numpy()).astype(np.int64)
-    expect = []
-    for s, g in df.groupby("lang"):
-        keep = min(len(g), max(1, quotas[s]))
-        expect.append(g.sort_values(["skey", "doc_id"]).head(keep))
-    exp = (
-        pd.concat(expect)[["lang", "doc_id", "skey"]]
-        .sort_values(["lang", "doc_id"])
-        .reset_index(drop=True)
-    )
-    assert got[["lang", "doc_id", "skey"]].equals(exp)
 
 
 def test_curation_sweep_checkpointed_resume(ray_session, tiles_small, tmp_path):
@@ -2251,48 +1778,6 @@ def test_tfidf_broadcast_equals_copartitioned(ray_session, monkeypatch):
     assert len(fast) == 500
 
 
-def test_top_frac_by_score_exact(rd, ray_session):
-    """Histogram-threshold selection must equal a literal global sort
-    by (score DESC, id ASC) — including heavy score TIES (the boundary
-    key spans many rows) and a tiny collect_cap that forces several
-    12-bit refinement rounds."""
-    from biomass_processing_pipeline_ray.stages.sampling import (
-        top_frac_by_score,
-    )
-
-    rng = np.random.default_rng(23)
-    n = 20000
-    ids = rng.permutation(n).astype(np.int64)
-    # clustered scores with heavy ties: ~40 distinct values
-    scores = np.round(rng.normal(15.0, 2.0, n), 1)
-    tbl = pa.table(
-        {
-            "doc_id": pa.array(ids),
-            "score": pa.array(scores, pa.float64()),
-        }
-    )
-    for cap in (65536, 64):  # 64 forces deep recursion through ties
-        got = (
-            top_frac_by_score(
-                rd.from_arrow(tbl), frac_pct=20, id_col="doc_id",
-                score_col="score", collect_cap=cap,
-            )
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        order = np.lexsort((ids, -scores))  # score desc, id asc
-        keep = max(1, n * 20 // 100)
-        exp = (
-            pd.DataFrame({"doc_id": ids[order[:keep]],
-                          "score": scores[order[:keep]]})
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        assert len(got) == keep
-        assert got.equals(exp), f"cap={cap}"
-
-
 def test_ivfpq_index_full_probe_equals_pq(ray_session, tmp_path):
     """Probing ALL cells of the IVF-PQ code store must reproduce the
     in-memory PQ ADC top-k exactly (same codebooks ⇒ same codes ⇒ same
@@ -2334,58 +1819,6 @@ def test_ivfpq_index_full_probe_equals_pq(ray_session, tmp_path):
     )
     cols = ["query_id", "vec_id", "rank", "pq_score"]
     assert from_index[cols].equals(in_memory[cols])
-
-
-def test_grouped_top_frac_by_score_exact(rd, ray_session):
-    """Per-stratum histogram-threshold selection must equal literal
-    per-stratum sorts — uneven stratum sizes, heavy score ties, and a
-    tiny collect_cap forcing strata to finish at different depths."""
-    from biomass_processing_pipeline_ray.stages.sampling import (
-        grouped_top_frac_by_score,
-    )
-
-    rng = np.random.default_rng(31)
-    sizes = {"a": 6000, "b": 900, "c": 3, "d": 1}
-    rows = []
-    next_id = 0
-    for s, k in sizes.items():
-        ids = rng.choice(np.arange(next_id, next_id + 10 * k), k, replace=False)
-        next_id += 10 * k
-        sc = np.round(rng.normal(10.0, 1.5, k), 1)  # heavy ties
-        for i, v in zip(ids, sc):
-            rows.append((s, int(i), float(v)))
-    rng.shuffle(rows)
-    tbl = pa.table(
-        {
-            "source": pa.array([r[0] for r in rows], pa.string()),
-            "doc_id": pa.array([r[1] for r in rows], pa.int64()),
-            "score": pa.array([r[2] for r in rows], pa.float64()),
-        }
-    )
-    df = tbl.to_pandas()
-    for cap in (65536, 32):
-        got = (
-            grouped_top_frac_by_score(
-                rd.from_arrow(tbl), stratum="source", frac_pct=20,
-                id_col="doc_id", score_col="score", collect_cap=cap,
-            )
-            .to_pandas()
-            .sort_values(["source", "doc_id"])
-            .reset_index(drop=True)
-        )
-        exp_parts = []
-        for s, g in df.groupby("source"):
-            keep = max(1, len(g) * 20 // 100)
-            exp_parts.append(
-                g.sort_values(["score", "doc_id"],
-                              ascending=[False, True]).head(keep)
-            )
-        exp = (
-            pd.concat(exp_parts)[["source", "doc_id", "score"]]
-            .sort_values(["source", "doc_id"])
-            .reset_index(drop=True)
-        )
-        assert got.equals(exp), f"cap={cap}"
 
 
 def test_psnr_verify_pairs_vs_bruteforce(rd, ray_session, tiles_small):
@@ -2509,35 +1942,6 @@ def test_compact_cells_minimal_covering(rd, ray_session):
     assert (got["level"] == 8).any()  # the dense fixture does compact
 
 
-def test_max_concurrency_vs_bruteforce(rd, ray_session):
-    """Distributed two-pass scan == sequential sweep-line on random
-    intervals that deliberately straddle time-bucket boundaries."""
-    from biomass_processing_pipeline_ray.stages.windows import max_concurrency
-
-    rng = np.random.default_rng(23)
-    n = 5000
-    bucket_us = 10_000  # tiny buckets so intervals cross many of them
-    start = rng.integers(0, 500_000, n)
-    dur = rng.integers(0, 80_000, n)  # includes zero-length intervals
-    end = start + dur
-    ds = rd.from_arrow(
-        pa.table({"start_us": pa.array(start, pa.int64()),
-                  "end_us": pa.array(end, pa.int64())})
-    ).repartition(16)
-    got = max_concurrency(ds, bucket_us=bucket_us)
-
-    # sequential sweep: starts before ends at equal ts
-    ts = np.concatenate([start, end])
-    dl = np.concatenate([np.ones(n, np.int64), -np.ones(n, np.int64)])
-    o = np.lexsort((-dl, ts))
-    pr = np.cumsum(dl[o])
-    mc = int(pr.max())
-    at = int(ts[o][int(np.argmax(pr))])
-    assert got["max_concurrency"].iloc[0] == mc
-    assert got["at_ts_us"].iloc[0] == at
-    assert mc > 1  # fixture sanity: real overlap happened
-
-
 def test_county_corr_matches_numpy_corrcoef(ray_session):
     """Integer-moment grouped Pearson r == np.corrcoef per county on
     the quantized variables (6-dp agreement; the engine path is
@@ -2615,126 +2019,6 @@ def test_bm25_topk_vs_sequential(rd, ray_session):
     order = order[scores[order] > 0] if (scores > 0).sum() >= 25 else order
     assert list(got["doc_id"]) == [int(i) for i in order]
     assert list(got["score"]) == [int(scores[i]) for i in order]
-
-
-def test_triangle_counts_vs_bruteforce(rd, ray_session):
-    """Degree-oriented distributed triangle counting equals a
-    brute-force adjacency-set count on a random directed multigraph
-    (dupes + both orientations + self-loops in the input exercise the
-    canonicalize/dedup front end)."""
-    from biomass_processing_pipeline_ray.stages.graph import triangle_counts
-
-    rng = np.random.default_rng(41)
-    n, m = 200, 1400
-    src = rng.integers(0, n, m).astype(np.int64)
-    dst = rng.integers(0, n, m).astype(np.int64)
-
-    got = (
-        triangle_counts(rd.from_pandas(pd.DataFrame({"src": src, "dst": dst})))
-        .to_pandas()
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for s, d in zip(src, dst):
-        if s != d:
-            adj[int(s)].add(int(d))
-            adj[int(d)].add(int(s))
-    expect: dict[int, int] = {}
-    for u in range(n):
-        for v in adj[u]:
-            if v <= u:
-                continue
-            for w in adj[u] & adj[v]:
-                if w > v:
-                    for x in (u, v, w):
-                        expect[x] = expect.get(x, 0) + 1
-    exp = (
-        pd.DataFrame(
-            {"node": list(expect.keys()), "n_triangles": list(expect.values())}
-        )
-        .astype(np.int64)
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        got.astype({"node": np.int64, "n_triangles": np.int64}), exp
-    )
-
-
-def test_transition_counts_vs_pandas(rd, ray_session):
-    """Coarse-bucket transition counting equals a sequential pandas
-    lag over (user, ts, event_id) order, independent of block layout."""
-    from biomass_processing_pipeline_ray.stages.windows import transition_counts
-
-    rng = np.random.default_rng(17)
-    n = 5000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype=np.int64),
-            "ts": pd.to_datetime(
-                rng.integers(0, 10**9, n), unit="s"
-            ),
-            "user_id": rng.integers(0, 80, n).astype(np.int64),
-            "event_type": rng.choice(list("ABCDE"), n),
-        }
-    )
-    got = (
-        transition_counts(rd.from_pandas(df).repartition(13))
-        .to_pandas()
-        .sort_values(["prev_type", "next_type"])
-        .reset_index(drop=True)
-    )
-    s = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-    same = s["user_id"].to_numpy()[1:] == s["user_id"].to_numpy()[:-1]
-    exp = (
-        pd.DataFrame(
-            {
-                "prev_type": s["event_type"].to_numpy()[:-1][same],
-                "next_type": s["event_type"].to_numpy()[1:][same],
-            }
-        )
-        .groupby(["prev_type", "next_type"], as_index=False)
-        .size()
-        .rename(columns={"size": "n"})
-        .sort_values(["prev_type", "next_type"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got.astype({"n": np.int64}), exp.astype({"n": np.int64}))
-
-
-def test_skyline_vs_bruteforce(rd, ray_session):
-    """Distributed block-local + final skyline equals the O(n²)
-    strict-dominance definition, including price ties and duplicate
-    points, independent of block layout."""
-    from biomass_processing_pipeline_ray.stages.analytic import skyline
-
-    rng = np.random.default_rng(23)
-    n = 3000
-    price = np.round(rng.random(n) * 100, 1)  # force ties
-    date = pd.to_datetime(rng.integers(0, 10**6, n), unit="s")
-    df = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(n, dtype=np.int64),
-            "o_totalprice": price,
-            "o_orderdate": date,
-        }
-    )
-    got = (
-        skyline(rd.from_pandas(df).repartition(17), "o_totalprice", "o_orderdate")
-        .to_pandas()
-        .sort_values("o_orderkey")
-        .reset_index(drop=True)
-    )
-    d_us = date.astype("int64").to_numpy() // 1000  # ns -> us irrelevant for compare
-    dominated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dominated[i] = bool(
-            np.any((price > price[i]) & (d_us < d_us[i]))
-        )
-    exp = df[~dominated].sort_values("o_orderkey").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, exp)
 
 
 def test_edit1_pairs_vs_bruteforce(rd, ray_session):
@@ -2824,65 +2108,6 @@ def test_bm25_indexed_equals_scan(rd, ray_session, tmp_path):
     pd.testing.assert_frame_equal(
         got_idx.reset_index(drop=True), got_scan.reset_index(drop=True)
     )
-
-
-def _peel_bruteforce(pairs, k):
-    import collections
-
-    adj = collections.defaultdict(set)
-    for a, b in pairs:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    while True:
-        rm = [n for n, nb in adj.items() if len(nb) < k]
-        if not rm:
-            break
-        rs = set(rm)
-        for n in rm:
-            del adj[n]
-        for n in adj:
-            adj[n] -= rs
-    return {n: len(nb) for n, nb in adj.items()}
-
-
-def test_kcore_vs_bruteforce_both_paths(rd, ray_session, monkeypatch):
-    """Distributed peel equals the sequential simultaneous-removal
-    definition on a random graph — via the broadcast removal fast path
-    AND (forced by zeroing the broadcast limit) the co-partitioned
-    exchange path — and an over-aggressive k yields a typed empty
-    frame."""
-    import biomass_processing_pipeline_ray.stages.graph as G
-
-    rng = np.random.default_rng(5)
-    n_nodes, n_edges = 300, 2400
-    src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    u, v = np.minimum(src, dst), np.maximum(src, dst)
-    exp = _peel_bruteforce(set(zip(u.tolist(), v.tolist())), 9)
-    assert exp, "fixture should have a nonempty 9-core"
-    exp_df = (
-        pd.DataFrame(
-            {"node": list(exp.keys()), "core_deg": list(exp.values())}
-        )
-        .astype(np.int64)
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-    ds = rd.from_arrow(
-        pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    ).repartition(7)
-
-    for limit in (G.BROADCAST_NODE_LIMIT, 0):
-        monkeypatch.setattr(G, "BROADCAST_NODE_LIMIT", limit)
-        got = G.kcore(ds, k=9, nb=16)
-        got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-        got = got.sort_values("node").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp_df)
-
-    empty = G.kcore(ds, k=10**6, nb=16)
-    assert isinstance(empty, pd.DataFrame)
-    assert list(empty.columns) == ["node", "core_deg"] and len(empty) == 0
 
 
 def test_merge_upsert_vs_sequential(rd, ray_session):
