@@ -13,8 +13,9 @@ capabilities of the reference ``andrewjoiner/biomass-processing-pipeline``
                  pruned parquet readers.
 - ``stages/``    Ray Data stages, run as plain tasks: decode, cell
                  encode, PIP join, kNN stitch (broadcast and sharded),
-                 zonal aggregation, clip zonal, mosaic, image stages,
-                 dedup family, text analysis, ANN, relational helpers.
+                 zonal aggregation, clip zonal, mosaic, multimodal,
+                 dedup family, text analysis, ANN, event windows,
+                 table profiler, relational helpers.
 - ``pipelines/`` end-to-end composed pipelines (flagship biomass zonal).
 - ``state/``     checkpoint manifest + per-partition lineage for resume.
 

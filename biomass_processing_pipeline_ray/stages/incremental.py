@@ -3,8 +3,7 @@ with new arrivals, never rescanning the base.
 
 Incremental-view-maintenance shape: a grouped aggregate over a 100 TB
 base is computed ONCE, its per-group state (sums + counts — any
-commutative mergeable partial: the KMV / Misra–Gries / histogram
-sketches in stages/analytic.py compose the same way) persists as
+commutative mergeable partial composes the same way) persists as
 parquet, and each delta batch folds in at O(|delta| + |state|) — the
 cost the reference pays by re-running whole counties through the
 pipeline on re-ingest (``production_processor_v3.py`` delete +

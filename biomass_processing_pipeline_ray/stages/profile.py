@@ -13,10 +13,9 @@ final one-row-per-column profile.  No driver-side pass over values.
 
 Scale note: the merge state is the number of DISTINCT values per
 column, not the row count — the right cost for categorical / key
-columns.  For columns whose distinct count itself explodes past a
-worker (free-text), profile with the KMV sketch
-(:func:`stages.analytic.heavy_hitters` / ``approx_distinct_users``)
-instead; exactness is the point of this operator.
+columns.  Columns whose distinct count itself explodes past a worker
+(free-text) need a sketch instead; exactness is the point of this
+operator.
 """
 
 from __future__ import annotations

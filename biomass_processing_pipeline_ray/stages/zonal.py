@@ -15,7 +15,7 @@ the final key is needed — the salt is effectively the batch id.
 One entry point follows that design, :func:`county_zonal`: many
 per-key products as one pass over exact, mergeable partials (in the
 spirit of Raptor: one raster⋈vector pass serving many zonal products).
-It is the engine's only combine for bounded-key aggregates: keys are
+It is the engine's combine for every bounded-key aggregate: keys are
 counties, formats or 1° cells.  A product is a ``sum`` (exact int64, or
 float64 snapped to the 2^-20 lattice), a ``min`` / ``max``, a ``hist``
 (the exact value → count multiset, numeric or string) or a ``top`` (k
@@ -28,7 +28,9 @@ element selection over the sorted histogram, coverage as a distinct
 count, the format histogram and everything derived from it, bounds,
 edge distances, per-county top-k and the mosaic's county rollup.
 
-:func:`bucketed_agg` is the combine for HIGH-cardinality keys.
+:func:`bucketed_agg` is the combine for HIGH-cardinality keys, and
+:func:`combine_partials` serves only the off-paper window and
+incremental families.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def _coalesce(partials):
 
     ncpus = int(ray.cluster_resources().get("CPU", 4))
     return partials.repartition(max(4, ncpus // 4))
+
+
+def combine_partials(partial, keys, aggs):
+    """groupby().aggregate() for BOUNDED-cardinality partials, over
+    :func:`_coalesce`'d blocks; float sums must be lattice-snapped.
+    The engine's own bounded-key aggregates run on
+    :func:`county_zonal`; this serves the off-paper window and
+    incremental families."""
+    return _coalesce(partial).groupby(keys).aggregate(*aggs)
 
 
 def bucketed_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]],

@@ -1,6 +1,6 @@
-"""Tests for the distributed convex hull and the grouped MAD finalize
-over ``county_zonal`` — each against an independent in-test
-numpy/pandas oracle."""
+"""Tests for the distributed convex hull, the grouped MAD finalize
+over ``county_zonal`` and the table profiler — each against an
+independent in-test numpy/pandas oracle."""
 
 import numpy as np
 import pandas as pd
@@ -137,3 +137,32 @@ def test_grouped_mad_vs_numpy(rd, ray_session):
         assert r["n"] == len(x)
         assert r["med"] == med
         assert r["mad"] == dev[(len(dev) - 1) // 2]
+
+
+def test_profile_table_vs_pandas(rd, ray_session):
+    from biomass_processing_pipeline_ray.stages.profile import profile_table
+
+    rng = np.random.default_rng(2)
+    n = 2500
+    num = rng.integers(0, 200, n).astype(np.float64)
+    num[rng.random(n) < 0.1] = np.nan
+    cat = np.array(["aa", "bb", "cc", "dd"])[rng.integers(0, 4, n)].astype(
+        object
+    )
+    cat[rng.random(n) < 0.05] = None
+    df = pd.DataFrame({"x": num, "s": cat})
+    got = (
+        profile_table(rd.from_pandas(df).repartition(6), ["x"], ["s"])
+        .to_pandas()
+        .set_index("col_name")
+    )
+    assert got.loc["x", "n_rows"] == n
+    assert got.loc["x", "n_null"] == int(np.isnan(num).sum())
+    assert got.loc["x", "n_distinct"] == len(np.unique(num[~np.isnan(num)]))
+    assert got.loc["x", "min_num"] == np.nanmin(num)
+    assert got.loc["x", "max_num"] == np.nanmax(num)
+    assert got.loc["s", "n_null"] == int(pd.isna(cat).sum())
+    assert got.loc["s", "n_distinct"] == 4
+    assert got.loc["s", "min_str"] == "aa"
+    assert got.loc["s", "max_str"] == "dd"
+

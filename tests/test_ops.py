@@ -1,7 +1,8 @@
 """Distributed operator tests vs brute-force/pandas oracles.
 
 Covers the operator families added on top of the flagship pipeline:
-banded Hamming near-dup, ANN cosine top-k, and text fingerprints.  Small inputs, one shared Ray
+banded Hamming near-dup, windows (tumbling/sessionize/as-of), ANN
+cosine top-k, and text fingerprints.  Small inputs, one shared Ray
 session (conftest).
 """
 
@@ -18,6 +19,53 @@ def rd(ray_session):
     import ray.data
 
     return ray.data
+
+
+def test_range_join_vs_pandas_bruteforce(rd):
+    """Cumulative-difference range join == per-order boolean-mask oracle."""
+    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
+    from biomass_processing_pipeline_ray.stages.windows import (
+        US_PER_DAY,
+        range_join_orders_events,
+    )
+
+    rng = np.random.default_rng(5)
+    n_o, n_e = 200, 1000
+    base = np.datetime64("2024-01-01", "us")
+    orders = pd.DataFrame(
+        {
+            "o_orderkey": np.arange(n_o, dtype=np.int64),
+            "o_custkey": rng.integers(0, 30, n_o),
+            "o_orderdate": base + rng.integers(0, 90 * US_PER_DAY, n_o),
+        }
+    )
+    events = pd.DataFrame(
+        {
+            "event_id": np.arange(n_e, dtype=np.int64),
+            "user_id": rng.integers(0, 30, n_e),
+            "ts": base + rng.integers(0, 90 * US_PER_DAY, n_e),
+            "value": rng.uniform(0, 100, n_e),
+        }
+    )
+    got = (
+        range_join_orders_events(rd.from_pandas(orders), rd.from_pandas(events))
+        .to_pandas()
+        .sort_values("o_orderkey")
+        .reset_index(drop=True)
+    )
+    ev_ts = events["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    sn = snap_binary(events["value"].to_numpy())
+    for i in (0, 17, 55, 199):
+        o = orders.iloc[i]
+        t0 = np.int64(o.o_orderdate.to_datetime64().astype("datetime64[us]").astype(np.int64))
+        m = (
+            (events["user_id"].to_numpy() == o.o_custkey)
+            & (ev_ts >= t0)
+            & (ev_ts < t0 + 7 * US_PER_DAY)
+        )
+        row = got[got.o_orderkey == o.o_orderkey].iloc[0]
+        assert int(row.n_events) == int(m.sum())
+        assert row.value_sum == pytest.approx(sn[m].sum(), abs=1e-9)
 
 
 def test_minhash_copartitioned_verify_vs_bruteforce(rd):
@@ -548,6 +596,108 @@ def test_banded_hamming_pairs_exact(rd):
     }
     assert set(zip(got.a, got.b)) == exp
     assert len(got) == len(exp)  # globally deduped
+
+
+def _events_frame(n=400, users=20, seed=3):
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.integers(0, 10**7, n)) * 1_000_000 + 1_700_000_000_000_000
+    return pd.DataFrame(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "ts": ts.astype("datetime64[us]"),
+            "user_id": rng.integers(0, users, n).astype(np.int64),
+            "event_type": rng.choice(["a", "b", "c"], n),
+            "value": rng.uniform(0, 100, n),
+        }
+    )
+
+
+def test_tumbling_aggregate_vs_pandas(rd):
+    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
+    from biomass_processing_pipeline_ray.stages.windows import tumbling_aggregate
+
+    df = _events_frame()
+    got = (
+        tumbling_aggregate(rd.from_pandas(df))
+        .to_pandas()
+        .sort_values(["event_type", "hour_bucket"])
+        .reset_index(drop=True)
+    )
+    exp = df.assign(
+        hour_bucket=df.ts.astype("datetime64[us]").astype(np.int64) // 3_600_000_000,
+        sval=snap_binary(df.value.to_numpy()),
+    )
+    exp = (
+        exp.groupby(["event_type", "hour_bucket"], as_index=False)
+        .agg(n=("sval", "size"), value_sum=("sval", "sum"))
+        .sort_values(["event_type", "hour_bucket"])
+        .reset_index(drop=True)
+    )
+    assert np.array_equal(got.n, exp.n)
+    assert np.array_equal(got.value_sum, exp.value_sum)  # exact (lattice)
+
+
+def test_sessionize_vs_pandas(rd):
+    from biomass_processing_pipeline_ray.stages.windows import sessionize
+
+    df = _events_frame()
+    got = (
+        sessionize(rd.from_pandas(df[["event_id", "ts", "user_id"]]))
+        .to_pandas()
+        .sort_values("user_id")
+        .reset_index(drop=True)
+    )
+
+    def oracle(g):
+        ts = np.sort(g.ts.astype("datetime64[us]").astype(np.int64).to_numpy())
+        gaps = np.diff(ts) > 1_800_000_000
+        return pd.Series({"n_sessions": 1 + int(gaps.sum()), "n_events": len(g)})
+
+    exp = df.groupby("user_id").apply(oracle, include_groups=False).reset_index()
+    assert np.array_equal(got.n_sessions, exp.n_sessions)
+    assert np.array_equal(got.n_events, exp.n_events)
+
+
+def test_asof_join_events_orders_vs_merge_asof(rd):
+    from biomass_processing_pipeline_ray.stages.windows import asof_join_events_orders
+
+    ev = _events_frame(n=200, users=10)
+    rng = np.random.default_rng(5)
+    orders = pd.DataFrame(
+        {
+            "o_orderkey": np.arange(50, dtype=np.int64),
+            "o_custkey": rng.integers(0, 12, 50).astype(np.int64),
+            "o_orderdate": (
+                rng.integers(0, 10**7, 50) * 1_000_000 + 1_700_000_000_000_000
+            ).astype("datetime64[us]"),
+            "o_totalprice": rng.uniform(10, 500, 50),
+        }
+    )
+    got = (
+        asof_join_events_orders(
+            rd.from_pandas(ev[["event_id", "ts", "user_id"]]),
+            rd.from_pandas(orders),
+        )
+        .to_pandas()
+        .sort_values("event_id")
+        .reset_index(drop=True)
+    )
+    # oracle: for each event the latest order (ts, orderkey) at/before it
+    o = orders.sort_values(["o_orderdate", "o_orderkey"])
+    exp_key, exp_val = [], []
+    for _, e in ev.iterrows():
+        cand = o[(o.o_custkey == e.user_id) & (o.o_orderdate <= e.ts)]
+        if len(cand):
+            exp_key.append(int(cand.o_orderkey.iloc[-1]))
+            exp_val.append(float(cand.o_totalprice.iloc[-1]))
+        else:
+            exp_key.append(-1)
+            exp_val.append(np.nan)
+    assert np.array_equal(got.last_orderkey.to_numpy(), np.array(exp_key))
+    ok = np.array(exp_key) >= 0
+    assert np.allclose(
+        got.last_totalprice.to_numpy()[ok], np.array(exp_val)[ok], atol=0
+    )
 
 
 def test_cosine_topk_vs_bruteforce(rd, ray_session):
@@ -1434,6 +1584,68 @@ def test_pq_topk_partition_invariant_and_sane(rd, ray_session):
     assert ex_same >= 72
 
 
+def test_incremental_merge_equals_oneshot(rd, ray_session, tmp_path):
+    """Persisted base state + delta partials == one-shot aggregate over
+    the whole input, bit-for-bit; a rerun reuses the _SUCCESS state."""
+    import pyarrow as pa
+
+    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
+    from biomass_processing_pipeline_ray.stages.incremental import (
+        merge_with_state,
+        write_state,
+    )
+    from biomass_processing_pipeline_ray.stages.zonal import combine_partials
+    from ray.data.aggregate import Sum
+
+    rng = np.random.default_rng(53)
+    n = 4000
+    key = rng.integers(0, 7, n).astype(np.int64)
+    val = snap_binary(rng.uniform(0, 100, n))
+    is_delta = np.arange(n) % 10 == 0
+
+    def partials(mask):
+        t = pa.table({"k": pa.array(key[mask]), "v": pa.array(val[mask])})
+
+        def prep(df):
+            g = df.groupby("k", as_index=False).agg(
+                s=("v", "sum"), n_rows=("v", "size")
+            )
+            g["n_rows"] = g["n_rows"].astype(np.int64)
+            return g
+
+        return rd.from_arrow(t).map_batches(prep, batch_format="pandas")
+
+    aggs = [Sum("s", alias_name="s"), Sum("n_rows", alias_name="n_rows")]
+    base_agg = combine_partials(partials(~is_delta), ["k"], aggs)
+    state_dir = str(tmp_path / "state")
+    write_state(base_agg, state_dir)
+
+    merged = (
+        merge_with_state(state_dir, partials(is_delta), ["k"], ["s", "n_rows"])
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    oneshot = (
+        combine_partials(partials(np.ones(n, bool)), ["k"], aggs)
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    assert (merged["s"].to_numpy() == oneshot["s"].to_numpy()).all()
+    assert (merged["n_rows"].to_numpy() == oneshot["n_rows"].to_numpy()).all()
+
+    # rerun hits the _SUCCESS state (no rebuild) and stays identical
+    write_state(base_agg, state_dir)
+    merged2 = (
+        merge_with_state(state_dir, partials(is_delta), ["k"], ["s", "n_rows"])
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    assert merged2.equals(merged)
+
+
 def test_grouped_topk_vs_pandas(rd, ray_session):
     """Per-group top-k == pandas row_number oracle, with string group
     keys split across many blocks (per-batch top-k + the county
@@ -1942,6 +2154,35 @@ def test_compact_cells_minimal_covering(rd, ray_session):
     assert (got["level"] == 8).any()  # the dense fixture does compact
 
 
+def test_max_concurrency_vs_bruteforce(rd, ray_session):
+    """Distributed two-pass scan == sequential sweep-line on random
+    intervals that deliberately straddle time-bucket boundaries."""
+    from biomass_processing_pipeline_ray.stages.windows import max_concurrency
+
+    rng = np.random.default_rng(23)
+    n = 5000
+    bucket_us = 10_000  # tiny buckets so intervals cross many of them
+    start = rng.integers(0, 500_000, n)
+    dur = rng.integers(0, 80_000, n)  # includes zero-length intervals
+    end = start + dur
+    ds = rd.from_arrow(
+        pa.table({"start_us": pa.array(start, pa.int64()),
+                  "end_us": pa.array(end, pa.int64())})
+    ).repartition(16)
+    got = max_concurrency(ds, bucket_us=bucket_us)
+
+    # sequential sweep: starts before ends at equal ts
+    ts = np.concatenate([start, end])
+    dl = np.concatenate([np.ones(n, np.int64), -np.ones(n, np.int64)])
+    o = np.lexsort((-dl, ts))
+    pr = np.cumsum(dl[o])
+    mc = int(pr.max())
+    at = int(ts[o][int(np.argmax(pr))])
+    assert got["max_concurrency"].iloc[0] == mc
+    assert got["at_ts_us"].iloc[0] == at
+    assert mc > 1  # fixture sanity: real overlap happened
+
+
 def test_county_corr_matches_numpy_corrcoef(ray_session):
     """Integer-moment grouped Pearson r == np.corrcoef per county on
     the quantized variables (6-dp agreement; the engine path is
@@ -2019,6 +2260,47 @@ def test_bm25_topk_vs_sequential(rd, ray_session):
     order = order[scores[order] > 0] if (scores > 0).sum() >= 25 else order
     assert list(got["doc_id"]) == [int(i) for i in order]
     assert list(got["score"]) == [int(scores[i]) for i in order]
+
+
+def test_transition_counts_vs_pandas(rd, ray_session):
+    """Coarse-bucket transition counting equals a sequential pandas
+    lag over (user, ts, event_id) order, independent of block layout."""
+    from biomass_processing_pipeline_ray.stages.windows import transition_counts
+
+    rng = np.random.default_rng(17)
+    n = 5000
+    df = pd.DataFrame(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "ts": pd.to_datetime(
+                rng.integers(0, 10**9, n), unit="s"
+            ),
+            "user_id": rng.integers(0, 80, n).astype(np.int64),
+            "event_type": rng.choice(list("ABCDE"), n),
+        }
+    )
+    got = (
+        transition_counts(rd.from_pandas(df).repartition(13))
+        .to_pandas()
+        .sort_values(["prev_type", "next_type"])
+        .reset_index(drop=True)
+    )
+    s = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+    same = s["user_id"].to_numpy()[1:] == s["user_id"].to_numpy()[:-1]
+    exp = (
+        pd.DataFrame(
+            {
+                "prev_type": s["event_type"].to_numpy()[:-1][same],
+                "next_type": s["event_type"].to_numpy()[1:][same],
+            }
+        )
+        .groupby(["prev_type", "next_type"], as_index=False)
+        .size()
+        .rename(columns={"size": "n"})
+        .sort_values(["prev_type", "next_type"])
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got.astype({"n": np.int64}), exp.astype({"n": np.int64}))
 
 
 def test_edit1_pairs_vs_bruteforce(rd, ray_session):

