@@ -14,9 +14,10 @@ sized at ~``target_per_bucket`` points per square bucket of side
 Each query gathers the 3×3 buckets around its own: any point outside
 that block is at least ``cell`` from every point of the centre bucket,
 so a query whose k-th distance is below ``cell`` is answered exactly.
-The rest fall back to a ring walk with the same bound (anything outside
-Chebyshev ring R of the query's bucket is ≥ R·cell away), so results
-are EXACT — required for DuckDB-oracle equality.
+The rest fall back to one ring walk with the same bound (anything
+outside Chebyshev ring R of the query's bucket is ≥ R·cell away), and
+when k ≥ n − 1 every query is answered by one (d², id) sort of all
+points, so results are EXACT — required for DuckDB-oracle equality.
 
 Each span is floored at a share of the longer one, so collinear or
 near-coincident layouts still get O(n) buckets and a bounded walk.
@@ -110,26 +111,34 @@ class GridKNN:
         concurrent Ray workers collapse on this class of host (measured
         ~200× on 32-way: large per-call buffers → concurrent page-fault
         storms; blocked: faster than the walk, flat under parallelism).
+        The queries every block leaves unaccepted take ONE ring walk
+        together, so no bucket is walked once per block.  When k ≥ n − 1
+        every point is a neighbour (or the query itself), and each query
+        is answered by one (d², id) sort of all points instead.
         """
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
         qids = np.asarray(qids, dtype=np.int64)
+        if k >= len(self.x) - 1:
+            return self._query_all(qx, qy, qids, k)
         n = len(qx)
-        if n > _QUERY_BLOCK:
-            parts = [
-                self.query(qx[i : i + _QUERY_BLOCK],
-                           qy[i : i + _QUERY_BLOCK],
-                           qids[i : i + _QUERY_BLOCK], k)
-                for i in range(0, n, _QUERY_BLOCK)
-            ]
-            return (
-                np.concatenate([p[0] for p in parts], axis=0),
-                np.concatenate([p[1] for p in parts], axis=0),
-            )
         out_idx = np.full((n, k), -1, dtype=np.int64)
         out_d2 = np.full((n, k), np.inf, dtype=np.float64)
-        if n == 0 or len(self.x) == 0:
-            return out_idx, out_d2
+        walk = [np.empty(0, dtype=np.int64)]
+        for i in range(0, n, _QUERY_BLOCK):
+            b = slice(i, i + _QUERY_BLOCK)
+            ok = self._query_block(qx[b], qy[b], qids[b], k, out_idx[b], out_d2[b])
+            walk.append(i + np.flatnonzero(~ok))
+        fi = np.concatenate(walk)
+        if len(fi):
+            out_idx[fi], out_d2[fi] = self._query_ring_walk(qx[fi], qy[fi], qids[fi], k)
+        return out_idx, out_d2
+
+    def _query_block(self, qx, qy, qids, k, out_idx, out_d2) -> np.ndarray:
+        """The 3×3-bucket fast path for one block of queries: writes the
+        answers into ``out_idx`` / ``out_d2`` and returns which of them
+        are accepted (exact)."""
+        n = len(qx)
         qbx = np.clip(((qx - self.x0) / self.cell).astype(np.int64), 0, self.nx - 1)
         qby = np.clip(((qy - self.y0) / self.cell).astype(np.int64), 0, self.ny - 1)
         offs = np.arange(-1, 2)
@@ -177,12 +186,32 @@ class GridKNN:
             if m < cmax:
                 cut = np.take_along_axis(Dp, rowsort[:, -1:], axis=1).ravel()
                 accepted &= (kth < cut) | (counts_q <= m)
-        if not accepted.all():
-            fi = np.flatnonzero(~accepted)
-            fidx, fd2 = self._query_ring_walk(qx[fi], qy[fi], qids[fi], k)
-            out_idx[fi] = fidx
-            out_d2[fi] = fd2
+        return accepted
+
+    def _query_all(self, qx, qy, qids, k):
+        """Each query's (d², id)-sorted list of all points, in blocks of
+        ~2^20 distances: the exact answer for any k, and the cheapest
+        one when k ≥ n − 1, where a ring walk would gather every point."""
+        n, npts = len(qx), len(self.x)
+        out_idx = np.full((n, k), -1, dtype=np.int64)
+        out_d2 = np.full((n, k), np.inf, dtype=np.float64)
+        kk = min(k, npts)
+        # points in id order: a stable sort by d² is then the (d², id) order
+        by_id = np.argsort(self.ids, kind="stable")
+        px, py, pid = self.x[by_id], self.y[by_id], self.ids[by_id]
+        step = max(1, (1 << 20) // max(npts, 1))
+        for i in range(0, n if npts else 0, step):
+            s = slice(i, i + step)
+            dx = px[None, :] - qx[s, None]
+            dy = py[None, :] - qy[s, None]
+            d2 = dx * dx + dy * dy
+            d2[pid[None, :] == qids[s, None]] = np.inf  # exclude self by id
+            sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+            sd2 = np.take_along_axis(d2, sel, axis=1)
+            out_idx[s, :kk] = np.where(np.isfinite(sd2), by_id[sel], -1)
+            out_d2[s, :kk] = sd2
         return out_idx, out_d2
+
     def _query_ring_walk(self, qx: np.ndarray, qy: np.ndarray, qids: np.ndarray, k: int):
         """Per-bucket expanding ring walk — the general-case path (and
         the fast path's fallback for sparse neighborhoods)."""

@@ -11,15 +11,17 @@ centroid in each actor; that is fine to ~10⁷ rows and impossible at the
    edge cells), and each shard is an ``m × m`` block of those cells.
    ``m`` is the largest side that still leaves at least 2 shards per
    cluster CPU (:func:`_shard_side`).
-2. **Fan-out** (``map_batches``): each tile emits one row (narrow
-   columns only — id, lon, lat, value, home flag) into every distinct
-   shard that holds its own cell or one of its 8 neighbour cells.  Only
-   tiles in a block's border cells reach more than one shard: at 0.5°
-   and ``m = 4`` the 30k-tile universe fans out to ~1.7 rows per tile,
-   where one shard per cell (``m = 1``) sends ~7.8.
-3. **Solve** ``groupby(shard).map_groups`` in numpy: each shard builds
-   ONE local :class:`~..geo.knn.GridKNN` over its rows (home ∪ halo) and
-   answers its home queries.
+2. **Fan-out** (the map side of :func:`~.exchange.exchange`): each
+   tile emits one row (narrow columns only — id, lon, lat, value, home
+   flag) into every distinct shard that holds its own cell or one of its
+   8 neighbour cells.  Only tiles in a block's border cells reach more
+   than one shard: at 0.5° and ``m = 4`` the 30k-tile universe fans out
+   to ~1.7 rows per tile, where one shard per cell (``m = 1``) sends
+   ~7.8.
+3. **Solve** (its reduce side): the shard id is the partition, so each
+   shard's rows go straight to one reduce task, with no sample or sort.
+   That task builds ONE local :class:`~..geo.knn.GridKNN` over the
+   shard's rows (home ∪ halo) in numpy and answers its home queries.
 
 Halo contract: every home query sees the full 3×3 cell block around its
 own cell, and every tile outside that block is at least ``cell_deg``
@@ -43,8 +45,10 @@ import pyarrow as pa
 from ..functions import georef as G
 from ..functions.rounding import round_away
 from ..geo.knn import GridKNN
+from .exchange import exchange
 
 IDW_EPS = 0.01
+RESULT_SCHEMA = pa.schema([("tile_id", pa.int64()), ("knn_idw_value", pa.float64())])
 
 
 def _cell_grid(cell_deg: float) -> tuple[int, int]:
@@ -135,14 +139,24 @@ def knn_idw_sharded(ds, k: int = 8, cell_deg: float = 0.5, round_idw: int | None
     """(tile_id, knn_idw_value) via block-sharded local kNN.
 
     ``ds`` must carry ``tile_int_id, lon, lat, value`` columns; raises
-    ``ValueError`` (when executed) if ``cell_deg`` is too small for the
-    k-th neighbour distances of ``ds`` (module docstring)."""
+    ``ValueError`` if ``cell_deg`` is too small for the k-th neighbour
+    distances of ``ds`` (module docstring).  The result is typed even
+    when ``ds`` has no rows."""
     import ray
 
     m = _shard_side(cell_deg, int(ray.cluster_resources().get("CPU", 1)))
-    fanned = ds.map_batches(
-        lambda b: _fan_out(b, cell_deg, m), batch_format="pyarrow"
-    )
-    return fanned.groupby("shard").map_groups(
-        lambda g: _solve_shard(g, k, round_idw, cell_deg, m), batch_format="numpy"
+    ncx, ncy = _cell_grid(cell_deg)
+
+    def solve(g: pa.Table) -> pa.Table:
+        cols = {c: g[c].to_numpy() for c in g.column_names}
+        return pa.table(_solve_shard(cols, k, round_idw, cell_deg, m))
+
+    return exchange(
+        ds,
+        lambda b: _fan_out(b, cell_deg, m),
+        "shard",
+        lambda shard: shard,
+        -(-ncx // m) * -(-ncy // m),
+        solve,
+        RESULT_SCHEMA,
     )

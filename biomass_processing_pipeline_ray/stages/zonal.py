@@ -5,12 +5,13 @@ Reference semantics: the county/processing summary G7
 ``optimized_county_processor_v3.py:513-549``) — totals, counts, means.
 
 Scale design (SURVEY.md §7.3): a bare ``groupby(county).aggregate``
-shuffles every tile row.  Instead each input batch is collapsed to ONE
-partial row per county inside ``map_batches`` (the combiner), and only
-those partials shuffle.  This also defuses county-size skew (the
-reference's McLean-vs-Rich 6× imbalance): a hot county contributes at
-most ``num_batches`` partial rows, not 10^9 tile rows, so no salting of
-the final key is needed — the salt is effectively the batch id.
+shuffles every tile row.  Instead each map task of the exchange
+collapses its run of input blocks to ONE partial row per county (the
+combiner), and only those partials move.  This also defuses
+county-size skew (the reference's McLean-vs-Rich 6× imbalance): a hot
+county contributes at most one partial row per map task, not 10^9 tile
+rows, so no salting of the final key is needed — the salt is
+effectively the map task.
 
 One entry point follows that design, :func:`county_zonal`: many
 per-key products as one pass over exact, mergeable partials (in the
@@ -20,13 +21,15 @@ counties, formats or 1° cells.  A product is a ``sum`` (exact int64, or
 float64 snapped to the 2^-20 lattice), a ``min`` / ``max``, a ``hist``
 (the exact value → count multiset, numeric or string) or a ``top`` (k
 rows by one column, ties by another).  The partials meet in one
-exchange on the key, and a per-query ``finalize`` turns each key's
-merged state into its output rows: the headline's counts, sums and
-means (:func:`zonal_aggregate`), correlation and regression from
-integer moment sums, quantiles / MAD / winsorized means / Gini by
-element selection over the sorted histogram, coverage as a distinct
-count, the format histogram and everything derived from it, bounds,
-edge distances, per-county top-k and the mosaic's county rollup.
+key-routed exchange (``stages/exchange``): each partial row goes by a
+hash of its key straight to one of a few reduce tasks, with no sample
+or sort, and a per-query ``finalize`` turns each key's merged state
+into its output rows: the headline's counts, sums and means
+(:func:`zonal_aggregate`), correlation and regression from integer
+moment sums, quantiles / MAD / winsorized means / Gini by element
+selection over the sorted histogram, coverage as a distinct count, the
+format histogram and everything derived from it, bounds, edge
+distances, per-county top-k and the mosaic's county rollup.
 
 :func:`bucketed_agg` is the combine for HIGH-cardinality keys, and
 :func:`combine_partials` serves only the off-paper window and
@@ -35,6 +38,7 @@ incremental families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,7 +53,8 @@ _SUM_COLS = ("biomass", "ndvi")
 
 
 def _coalesce(partials):
-    """Bounded-key partials in a few substantial blocks.
+    """Bounded-key partials in a few substantial blocks, for
+    :func:`combine_partials`.
 
     Combiner outputs are one row per key per input block — hundreds to
     hundreds of thousands of near-empty blocks at scale, and Ray's sort
@@ -130,7 +135,8 @@ def unreserved(ds):
     (``state/ckptwrite``) and of ``psnrverify.psnr_verify_pairs``.  The
     setting lives in the context ``ds`` shares with the datasets it was
     derived from and the ones derived from it; the process-global
-    ``DataContext`` is left untouched.
+    ``DataContext`` is left untouched, and so is the Dataset
+    :func:`county_zonal` returns, whose plan starts from a copy of it.
     """
     ds.context.op_resource_reservation_enabled = False
     return ds
@@ -301,7 +307,7 @@ def _no_counties(products: dict) -> Counties:
 def county_zonal(ds, products: dict, finalize, key: str = "county_fips"):
     """Per-county products of ``ds`` from one combine and one exchange
     on ``key`` (a string or integer column; a "county" below is one
-    value of it) over :func:`_coalesce`'d partials.
+    value of it).
 
     ``products`` maps a name to ``("sum", col)``, ``("min", col)``,
     ``("max", col)``, ``("hist", col)`` or ``("top", k, by, tie)``.
@@ -314,25 +320,29 @@ def county_zonal(ds, products: dict, finalize, key: str = "county_fips"):
     or exchange order: integer sums are exact, float sums add
     lattice-snapped values (``functions/rounding``), min / max and
     histograms are order-free, and ``top`` orders fully by
-    (``by`` desc, ``tie`` asc).  The exchange is a barrier the partial
-    stage feeds, so ``ds`` runs :func:`unreserved`."""
-    import ray.data as rd
+    (``by`` desc, ``tie`` asc).  The exchange's map tasks run
+    :func:`county_partial` over runs of ``ds``'s blocks and route each
+    partial row by a hash of its key to one of ``max(4, CPUs // 4)``
+    reduce tasks, which :func:`_merge` and ``finalize`` each key.  The
+    exchange is a barrier the stage that produces ``ds`` feeds, so
+    ``ds`` runs :func:`unreserved`; the returned Dataset's plan does not
+    share that setting."""
+    import ray
+
+    from .exchange import exchange, hash_partition
 
     products = _check(products, key)
     schema = finalize(_no_counties(products)).schema
-
-    def merge(g: pa.Table) -> pa.Table:
-        return finalize(_merge(g, products, key)).cast(schema)
-
-    parts = unreserved(ds).map_batches(
-        county_partial,
-        fn_kwargs={"products": products, "key": key},
-        batch_format="pyarrow",
+    nparts = max(4, int(ray.cluster_resources().get("CPU", 4)) // 4)
+    return exchange(
+        unreserved(ds),
+        functools.partial(county_partial, products=products, key=key),
+        key,
+        functools.partial(hash_partition, num_partitions=nparts),
+        nparts,
+        lambda g: finalize(_merge(g, products, key)),
+        schema,
     )
-    out = _coalesce(parts).groupby(key).map_groups(merge, batch_format="pyarrow")
-    # an empty input runs no group, so the result would have no schema;
-    # the typed empty block gives it ``schema`` in every case
-    return out.union(rd.from_arrow(schema.empty_table()))
 
 
 # ---------------------------------------------------------------------------

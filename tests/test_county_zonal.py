@@ -4,6 +4,8 @@
   skewed input (one county holds 90 % of the rows) and on an empty one,
   and keyed by a string (``fmt``) and an int64 (``cell``) column at 7,
   1 and 0 rows;
+- the Dataset it returns plans with the global execution settings,
+  not with those of its input;
 - the per-county entries, the other entries on ``county_zonal`` and
   three entries that used to raise on tiny universes keep their
   columns and types at n=1 and n=7 (``universe_n`` reads only the sf
@@ -103,6 +105,28 @@ def test_one_call_equals_single_kind_calls(ray_session, rows, key):
     if rows and key == "county_fips":
         assert len(every) == 4
         assert every["n"].max() > 0.85 * rows
+
+
+def test_output_plan_is_local(ray_session):
+    """The input runs unreserved, but the returned Dataset does not share
+    the input's context: a plan derived from it reads the global
+    ``op_resource_reservation_enabled``."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from biomass_processing_pipeline_ray.stages.zonal import county_zonal
+
+    tbl = _skewed(40)
+    src = rd.from_arrow(tbl)
+    out = county_zonal(src, {"sx": ("sum", "x")}, _dump({"sx": ("sum", "x")}))
+    derived = out.map_batches(lambda b: b, batch_format="pyarrow")
+    assert src.context.op_resource_reservation_enabled is False
+    assert out.context is not src.context
+    assert derived.context is not src.context
+    assert derived.context.op_resource_reservation_enabled is (
+        DataContext.get_current().op_resource_reservation_enabled
+    )
+    assert derived.count() == len(set(tbl["county_fips"].to_pylist()))
 
 
 EDGE_ENTRIES = [

@@ -896,6 +896,18 @@ def test_knn_sharded_rejects_a_broken_halo(rd, ray_session):
         knn_idw_sharded(rd.from_arrow(tbl), cell_deg=0.5).to_pandas()
 
 
+def test_knn_sharded_empty_input_is_typed(rd, ray_session):
+    """A zero-row input gives a zero-row result of the documented schema."""
+    from biomass_processing_pipeline_ray.stages.knn_sharded import knn_idw_sharded
+
+    tbl, _ = _knn_universe(0)
+    out = knn_idw_sharded(rd.from_arrow(tbl))
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("tile_id", pa.int64()), ("knn_idw_value", pa.float64())]
+    )
+
+
 def test_ivf_topk_exact_when_probing_all(rd, ray_session):
     import pyarrow as pa
     import ray

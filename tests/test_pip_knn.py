@@ -121,6 +121,26 @@ def _brute_knn(x, y, ids, qx, qy, qids, k):
     return idx, out
 
 
+def test_knn_fallbacks_of_all_query_blocks_walk_once(monkeypatch):
+    """Queries the 3×3 fast path leaves unanswered in different query
+    blocks take ONE ring walk together, and still the exact answer."""
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(0, 0.01, (2, 1500))
+    x = np.concatenate([x, [1.0, 0.0, 1.0, 0.5]])  # 4 far corners: the walk
+    y = np.concatenate([y, [0.0, 1.0, 1.0, 1.0]])
+    ids = rng.permutation(len(x)).astype(np.int64)
+    q = rng.permutation(len(x))  # corners land in different query blocks
+    assert len(set(np.flatnonzero(q >= 1500) // knn._QUERY_BLOCK)) > 1
+    g = knn.GridKNN(x, y, ids)
+    walks = []
+    walk = g._query_ring_walk
+    monkeypatch.setattr(g, "_query_ring_walk", lambda *a: walks.append(len(a[0])) or walk(*a))
+    idx, d2 = g.query(x[q], y[q], ids[q], 8)
+    bidx, bd2 = _brute_knn(x, y, ids, x[q], y[q], ids[q], 8)
+    assert np.array_equal(idx, bidx) and np.array_equal(d2, bd2)
+    assert len(walks) == 1 and walks[0] >= 4
+
+
 @pytest.mark.parametrize(
     "x, y, k",
     [

@@ -316,8 +316,9 @@ def test_zero_row_tiles_input(ray_session, tiles_small, tmp_path):
 
 def test_combines_decide_reservation_on_their_input(ray_session, tiles_small, tmp_path):
     """The combine switches Ray Data's per-operator reservation off on
-    its own input: the Datasets from ``biomass_zonal`` and from a
-    ``county_zonal`` call run without it, and the process-global
+    its own input: the input of a ``county_zonal`` call runs without it,
+    the Datasets ``biomass_zonal`` and ``county_zonal`` return start
+    their plans from the global setting, and the process-global
     ``DataContext`` is the same after them and after the checkpointed
     job."""
     import pyarrow as pa
@@ -338,13 +339,15 @@ def test_combines_decide_reservation_on_their_input(ray_session, tiles_small, tm
                          "x": pa.array(c["x"], pa.int64())})
 
     tbl = pa.table({"county_fips": ["17001", "17003", "17001"], "x": [1, 2, 3]})
+    src = rd.from_arrow(tbl)
     for ds in (
         biomass_zonal(tiles_small, n_tiles=1000),
-        county_zonal(rd.from_arrow(tbl), {"x": ("sum", "x")}, finalize),
+        county_zonal(src, {"x": ("sum", "x")}, finalize),
     ):
-        assert ds.context.op_resource_reservation_enabled is False
+        assert ds.context.op_resource_reservation_enabled is True
         assert ds.count() > 0
         assert DataContext.get_current() is ctx and vars(ctx) == before
+    assert src.context.op_resource_reservation_enabled is False
     biomass_zonal_checkpointed(tiles_small, str(tmp_path / "out"), n_tiles=1000)
     assert DataContext.get_current() is ctx and vars(ctx) == before
     assert ctx.op_resource_reservation_enabled
